@@ -177,74 +177,6 @@ func BenchmarkPVContention(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocContention measures the per-CPU free-page caches against
-// the single global pool they front: GOMAXPROCS workers hammer the
-// allocator, each holding a small working set of frames that it
-// allocates and frees in bursts. With AllocCaches=0 every operation
-// takes a global queue-shard lock; with one magazine per worker almost
-// every operation takes only the worker's own magazine lock, refilling
-// and draining in batches. The alloc-contended-% metric reports the
-// contended share of allocation-path lock acquisitions per layout. Set
-// UVM_ALLOC_CACHES to benchmark a specific magazine count instead of the
-// default pair.
-func BenchmarkAllocContention(b *testing.B) {
-	configs := []struct {
-		name   string
-		caches int
-	}{{"single-pool", 0}, {fmt.Sprintf("cached-%d", runtime.GOMAXPROCS(0)), runtime.GOMAXPROCS(0)}}
-	if env := os.Getenv("UVM_ALLOC_CACHES"); env != "" {
-		n, err := strconv.Atoi(env)
-		if err != nil {
-			b.Fatalf("UVM_ALLOC_CACHES=%q: %v", env, err)
-		}
-		configs = configs[:0]
-		configs = append(configs, struct {
-			name   string
-			caches int
-		}{fmt.Sprintf("env-%d", n), n})
-	}
-	for _, cfg := range configs {
-		b.Run(cfg.name, func(b *testing.B) {
-			const heldMax = 32
-			clock := sim.NewClock()
-			costs := sim.DefaultCosts()
-			stats := sim.NewStats()
-			// RAM sized from the worker count RunParallel will spawn, so
-			// many-core hosts never run the pool dry mid-measurement.
-			mem := phys.NewMem(clock, costs, stats, runtime.GOMAXPROCS(0)*2*heldMax+1024)
-			if cfg.caches > 0 {
-				mem.SetAllocCaches(cfg.caches, 0)
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				var held []*phys.Page
-				for pb.Next() {
-					if len(held) < heldMax {
-						pg, err := mem.Alloc(nil, 0, false)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						held = append(held, pg)
-						continue
-					}
-					for _, pg := range held {
-						mem.Free(pg)
-					}
-					held = held[:0]
-				}
-				for _, pg := range held {
-					mem.Free(pg)
-				}
-			})
-			b.StopTimer()
-			if acq := stats.Get(sim.CtrAllocAcquires); acq > 0 {
-				b.ReportMetric(100*float64(stats.Get(sim.CtrAllocContended))/float64(acq), "alloc-contended-%")
-			}
-		})
-	}
-}
-
 // BenchmarkUBCReadVsMmap compares the two coherent paths to the same
 // cached file data.
 func BenchmarkUBCReadVsMmap(b *testing.B) {

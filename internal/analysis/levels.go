@@ -4,8 +4,8 @@ package analysis
 // is the machine-readable form of the ordering documented atop
 // internal/uvm/system.go — map -> object -> amap -> anon -> page
 // identity -> leaf — with the leaf tier split into its documented
-// sub-levels (pmap above pv bucket, magazine above queue shard, the
-// async-writer head above its window bookkeeping, and so on).
+// sub-levels (pmap above pv bucket, the async-writer head above its
+// window bookkeeping, and so on).
 //
 // A blocking acquisition is legal only if its level sits strictly below
 // every level already held; TryLock acquisitions are exempt from the
@@ -29,7 +29,6 @@ var Levels = []string{
 	"daemon",    // the pagedaemon's condvar mutex
 	"pmap",      // Pmap.mu — one address space's page table
 	"pvbucket",  // MMU reverse-map bucket locks (strict leaves within pmap)
-	"magazine",  // phys per-CPU free-page magazines
 	"pageq",     // phys page-queue shards
 	"swapreg",   // Swap.mu — device registry (AddDevice only)
 	"swap",      // swap allocator shard locks
@@ -40,7 +39,6 @@ var Levels = []string{
 	"diskaio",   // disk.AsyncWriter.mu — window admission/completion state
 	"disk",      // Disk.mu — the device itself
 	"faultplan", // disk.FaultPlan.mu — fault-rule schedule state
-	"control",   // control.Plane.mu — the feedback control plane
 	"leaf",      // terminal: nothing is ever acquired while held
 }
 

@@ -47,13 +47,7 @@ func (s *System) reclaim(target int) error {
 		})
 	}
 	if freed == 0 {
-		// A fruitless scan is not a deadlock while free frames sit parked
-		// in per-CPU allocation magazines (phys caches enabled): reap
-		// them into the global pool so the retry can reach them.
-		if s.mach.Mem.ReapCaches() == 0 {
-			return vmapi.ErrDeadlock
-		}
-		return nil
+		return vmapi.ErrDeadlock
 	}
 	s.mach.Stats.Add("bsdvm.pagedaemon.freed", int64(freed))
 	return nil

@@ -49,11 +49,10 @@ func (c MatrixCell) Name() string {
 
 // MatrixWorkloads returns the matrix's workload names in canonical
 // order: the boot/exec scenario from internal/workload, the reclaim
-// bandwidth cell, the object writeback cell, the multi-tenant traffic
-// cell, the allocator-layout cell (per-CPU caches vs single pool), and
-// the autotune cell (feedback controllers vs best static setting).
+// bandwidth cell, the object writeback cell, and the multi-tenant
+// traffic cell.
 func MatrixWorkloads() []string {
-	return []string{"scenario", "reclaim", "objwb", "traffic", "alloc", "autotune"}
+	return []string{"scenario", "reclaim", "objwb", "traffic"}
 }
 
 // MatrixFaultPlan returns the fault schedule the matrix's fault cells
@@ -115,10 +114,6 @@ func runMatrixCell(wl, prof string, faults, quick bool) (c MatrixCell) {
 		leaked, err = matrixObjWB(prof, quick, &buf)
 	case "traffic":
 		leaked, err = matrixTraffic(prof, quick, &buf)
-	case "alloc":
-		leaked, err = matrixAlloc(prof, &buf)
-	case "autotune":
-		leaked, err = matrixAutotune(prof, quick, &buf)
 	default:
 		err = fmt.Errorf("matrix: unknown workload %q (valid: %v)", wl, MatrixWorkloads())
 	}
@@ -228,31 +223,6 @@ func matrixTraffic(prof string, quick bool, w io.Writer) (int, error) {
 		}
 		fmt.Fprintf(w, "traffic %-6s 4 workers: %d ops %d faults  p50 %s p99 %s p999 %s  reclaim-interference %d\n",
 			nb.Name, pt.Ops, pt.Faults, pt.P50, pt.P99, pt.P999, pt.Interference)
-	}
-	return leaked, nil
-}
-
-// matrixAlloc contrasts the two allocator layouts under the parallel
-// fault workload at 8 goroutines: per-CPU free-page caches (8 magazines)
-// vs the single global pool (AllocCaches=0). Wall-clock throughput is
-// host-dependent, but the contended share of allocation-path lock
-// acquisitions is the structural story: the magazines take it toward
-// zero, the single pool concentrates every fault on the same shard
-// locks. (The workload is already quick-sized; no quick variant.)
-func matrixAlloc(prof string, w io.Writer) (int, error) {
-	leaked := 0
-	for _, layout := range []struct {
-		name   string
-		caches int
-	}{{"cached-8", 8}, {"single-pool", 0}} {
-		pt, l, err := scalingRunOn(prof, "uvm", uvm.Boot, 8, layout.caches)
-		leaked += l
-		if err != nil {
-			return leaked, err
-		}
-		fmt.Fprintf(w, "alloc %-11s 8 goroutines: %9.0f faults/s  alloc-contention %5.2f%% (%d/%d)\n",
-			layout.name, pt.PerSecond,
-			100*pt.AllocContentionRatio(), pt.AllocContended, pt.AllocAcquires)
 	}
 	return leaked, nil
 }

@@ -25,7 +25,7 @@ import (
 //     cluster into the per-device in-flight window and overlaps the next
 //     inactive-queue scan with the writes; completions free the pages.
 //   - async-4w: async pageout plus four parallel reclaim workers, each
-//     scanning a disjoint range of the sharded page queues.
+//     claiming disjoint runs of the round's inactive-queue snapshot.
 //   - async-4w+pgin: the full pipeline, adding clustered pagein — a
 //     swap-backed fault drags adjacent allocated slots in with one I/O.
 //
@@ -62,6 +62,9 @@ const (
 	// producers demand 8 MB of 4 MB RAM.
 	reclaimBWRegionPages = 512
 	reclaimBWProducers   = 4
+	// reclaimBWTurn is how many consecutive accesses a producer makes
+	// before handing the turn to the next one.
+	reclaimBWTurn = 16
 )
 
 // reclaimBWConfig names one tuning of the reclaim pipeline.
@@ -154,33 +157,58 @@ func ReclaimBWRunOn(prof string, swapPlan *disk.FaultPlan, cfgName string,
 		ioErrs   int
 		firstErr error
 	)
+	// The producers take turns in a fixed round-robin order — producer 0
+	// makes reclaimBWTurn accesses, then producer 1, and so on — so the
+	// machine sees the same fault sequence on every run. Left to the host
+	// scheduler, the interleaving decides how many pages are evicted and
+	// faulted back in (on a 2-CPU host anywhere from a few hundred to two
+	// thousand synchronous pageins for one configuration), and that
+	// count, not the pageout pipeline, would dominate the simulated time.
+	// The pagedaemon and the I/O completions still run concurrently.
+	turns := make([]chan struct{}, len(producers))
+	for w := range turns {
+		turns[w] = make(chan struct{}, 1)
+	}
+	turns[0] <- struct{}{}
+
 	//uvm:wallclock real elapsed time is the reported host-throughput metric
 	wallStart := time.Now()
 	simStart := mach.Clock.Now()
-	for _, pr := range producers {
+	for w, pr := range producers {
 		wg.Add(1)
-		go func(pr producer) {
+		go func(w int, pr producer) {
 			defer wg.Done()
 			lat := make([]time.Duration, 0, accessesPerProducer)
 			errs := 0
 			var verr error
-			for i := 0; i < accessesPerProducer && verr == nil; i++ {
-				addr := pr.va + param.VAddr(i%reclaimBWRegionPages)*param.PageSize
-				//uvm:wallclock host-latency histogram measures real elapsed time
-				t0 := time.Now()
-				if err := pr.p.Access(addr, true); err != nil {
-					if swapPlan == nil {
-						verr = err
-					} else {
-						// Injected faults surface here by design: count
-						// and keep going — the cell is probing whether
-						// the system stays consistent, not whether the
-						// access succeeds.
-						errs++
-					}
+			next := turns[(w+1)%len(turns)]
+			for i := 0; i < accessesPerProducer; i++ {
+				if i%reclaimBWTurn == 0 {
+					<-turns[w]
 				}
-				//uvm:wallclock host-latency histogram measures real elapsed time
-				lat = append(lat, time.Since(t0))
+				// After an error the producer stops accessing but keeps
+				// passing the turn, so the others finish.
+				if verr == nil {
+					addr := pr.va + param.VAddr(i%reclaimBWRegionPages)*param.PageSize
+					//uvm:wallclock host-latency histogram measures real elapsed time
+					t0 := time.Now()
+					if err := pr.p.Access(addr, true); err != nil {
+						if swapPlan == nil {
+							verr = err
+						} else {
+							// Injected faults surface here by design: count
+							// and keep going — the cell is probing whether
+							// the system stays consistent, not whether the
+							// access succeeds.
+							errs++
+						}
+					}
+					//uvm:wallclock host-latency histogram measures real elapsed time
+					lat = append(lat, time.Since(t0))
+				}
+				if (i+1)%reclaimBWTurn == 0 || i+1 == accessesPerProducer {
+					next <- struct{}{}
+				}
 			}
 			mu.Lock()
 			if verr != nil && firstErr == nil {
@@ -189,7 +217,7 @@ func ReclaimBWRunOn(prof string, swapPlan *disk.FaultPlan, cfgName string,
 			ioErrs += errs
 			all = append(all, lat...)
 			mu.Unlock()
-		}(pr)
+		}(w, pr)
 	}
 	wg.Wait()
 	//uvm:wallclock real elapsed time is the reported host-throughput metric

@@ -41,16 +41,6 @@ type ScalingPoint struct {
 	// is where the contention shows.
 	PVAcquires  int64
 	PVContended int64
-
-	// Allocator-lock traffic during the run (phys.alloc.* counters): how
-	// often an allocation-path lock — magazine or queue shard — was
-	// taken, and how often the taker had to wait. With per-CPU caches
-	// (AllocCaches > 0) each goroutine mostly takes only its own
-	// magazine's lock; with the single global pool (AllocCaches = 0)
-	// every fault contends for the same queue-shard locks.
-	AllocCaches    int
-	AllocAcquires  int64
-	AllocContended int64
 }
 
 // PVContentionRatio returns the contended share of pv bucket lock
@@ -62,15 +52,6 @@ func (p ScalingPoint) PVContentionRatio() float64 {
 	return float64(p.PVContended) / float64(p.PVAcquires)
 }
 
-// AllocContentionRatio returns the contended share of allocation-path
-// lock acquisitions (0 when the run took none).
-func (p ScalingPoint) AllocContentionRatio() float64 {
-	if p.AllocAcquires == 0 {
-		return 0
-	}
-	return float64(p.AllocContended) / float64(p.AllocAcquires)
-}
-
 // scalingFaultsPerWorker bounds each worker's share of work so the
 // experiment finishes quickly even at one goroutine.
 const scalingFaultsPerWorker = 3000
@@ -80,27 +61,13 @@ const scalingFaultsPerWorker = 3000
 // fault, never a pmap fast-path hit.
 const scalingRegionPages = 64
 
-// scalingDefaultCaches is the magazine count Scaling runs with: sized
-// for the experiment's largest worker count, so each of the up-to-8
-// faulting goroutines usually hashes to its own magazine.
-const scalingDefaultCaches = 8
-
 // Scaling runs the fault-throughput experiment for each goroutine count
-// on the given booter, with the per-CPU free-page caches on (the
-// configuration the scaling story is about). Every run boots a fresh
-// machine so clock and queue state never leak between points. Use
-// ScalingAlloc to pick the allocator layout explicitly — in particular
-// allocCaches=0 for the single-pool contrast.
+// on the given booter. Every run boots a fresh machine so clock and
+// queue state never leak between points.
 func Scaling(name string, boot vmapi.Booter, workers []int) ([]ScalingPoint, error) {
-	return ScalingAlloc(name, boot, workers, scalingDefaultCaches)
-}
-
-// ScalingAlloc is Scaling with an explicit allocator layout: allocCaches
-// per-CPU free-page magazines, 0 meaning the single global pool.
-func ScalingAlloc(name string, boot vmapi.Booter, workers []int, allocCaches int) ([]ScalingPoint, error) {
 	points := make([]ScalingPoint, 0, len(workers))
 	for _, n := range workers {
-		pt, err := scalingRun(name, boot, n, allocCaches)
+		pt, err := scalingRun(name, boot, n)
 		if err != nil {
 			return nil, err
 		}
@@ -109,24 +76,15 @@ func ScalingAlloc(name string, boot vmapi.Booter, workers []int, allocCaches int
 	return points, nil
 }
 
-func scalingRun(name string, boot vmapi.Booter, workers, allocCaches int) (ScalingPoint, error) {
-	pt, _, err := scalingRunOn(profile, name, boot, workers, allocCaches)
-	return pt, err
-}
-
-// scalingRunOn is the profile-explicit run body (the matrix's alloc cell
-// passes its own profile; everything else uses the global). It also
-// reports the post-shutdown Busy-page sweep for matrix cells.
-func scalingRunOn(prof, name string, boot vmapi.Booter, workers, allocCaches int) (ScalingPoint, int, error) {
+func scalingRun(name string, boot vmapi.Booter, workers int) (ScalingPoint, error) {
 	// RAM sized so all workers fault without ever waking the pagedaemon:
 	// the experiment isolates fault-path locking, not reclaim.
 	mach := vmapi.NewMachine(vmapi.MachineConfig{
-		RAMPages:    workers*scalingRegionPages*4 + 4096,
-		SwapPages:   16384,
-		FSPages:     1024,
-		MaxVnodes:   16,
-		Profile:     prof,
-		AllocCaches: allocCaches,
+		RAMPages:  workers*scalingRegionPages*4 + 4096,
+		SwapPages: 16384,
+		FSPages:   1024,
+		MaxVnodes: 16,
+		Profile:   profile,
 	})
 	sys := boot(mach)
 
@@ -134,7 +92,7 @@ func scalingRunOn(prof, name string, boot vmapi.Booter, workers, allocCaches int
 	for i := range procs {
 		p, err := sys.NewProcess(fmt.Sprintf("scale%d", i))
 		if err != nil {
-			return ScalingPoint{}, 0, err
+			return ScalingPoint{}, err
 		}
 		procs[i] = p
 	}
@@ -177,7 +135,7 @@ func scalingRunOn(prof, name string, boot vmapi.Booter, workers, allocCaches int
 	wall := time.Since(start)
 	if firstErr != nil {
 		sys.Shutdown()
-		return ScalingPoint{}, len(mach.Mem.BusyPages()), firstErr
+		return ScalingPoint{}, firstErr
 	}
 	for _, p := range procs {
 		p.Exit()
@@ -185,19 +143,15 @@ func scalingRunOn(prof, name string, boot vmapi.Booter, workers, allocCaches int
 	sys.Shutdown()
 
 	total := int64(workers) * scalingFaultsPerWorker
-	leaked := len(mach.Mem.BusyPages())
 	return ScalingPoint{
-		System:         name,
-		Goroutines:     workers,
-		Faults:         total,
-		Wall:           wall,
-		PerSecond:      float64(total) / wall.Seconds(),
-		PVAcquires:     mach.Stats.Get(sim.CtrPVAcquires),
-		PVContended:    mach.Stats.Get(sim.CtrPVContended),
-		AllocCaches:    allocCaches,
-		AllocAcquires:  mach.Stats.Get(sim.CtrAllocAcquires),
-		AllocContended: mach.Stats.Get(sim.CtrAllocContended),
-	}, leaked, nil
+		System:      name,
+		Goroutines:  workers,
+		Faults:      total,
+		Wall:        wall,
+		PerSecond:   float64(total) / wall.Seconds(),
+		PVAcquires:  mach.Stats.Get(sim.CtrPVAcquires),
+		PVContended: mach.Stats.Get(sim.CtrPVContended),
+	}, nil
 }
 
 // ReportScaling renders the experiment for both systems at 1/2/4/8
@@ -213,10 +167,9 @@ func ReportScaling(w io.Writer, boots []NamedBooter) error {
 		}
 		base := points[0].PerSecond
 		for _, pt := range points {
-			fmt.Fprintf(w, "%-6s %2d goroutines: %9.0f faults/s  (%.2fx)  pv-contention %5.2f%% (%d/%d)  alloc-contention %5.2f%% (%d/%d, %d caches)\n",
+			fmt.Fprintf(w, "%-6s %2d goroutines: %9.0f faults/s  (%.2fx)  pv-contention %5.2f%% (%d/%d)\n",
 				pt.System, pt.Goroutines, pt.PerSecond, pt.PerSecond/base,
-				100*pt.PVContentionRatio(), pt.PVContended, pt.PVAcquires,
-				100*pt.AllocContentionRatio(), pt.AllocContended, pt.AllocAcquires, pt.AllocCaches)
+				100*pt.PVContentionRatio(), pt.PVContended, pt.PVAcquires)
 		}
 	}
 	return nil

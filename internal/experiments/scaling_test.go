@@ -90,52 +90,6 @@ func TestScalingPVContention(t *testing.T) {
 	}
 }
 
-// TestScalingAllocContention checks the tentpole claim of the per-CPU
-// free-page caches: at 8 goroutines, the contended share of
-// allocation-path lock acquisitions with magazines on is no worse than
-// the same workload on the single global pool (AllocCaches=0), and stays
-// small in absolute terms. Allocator contention needs real parallelism
-// to exist at all, so the comparative assertion only applies with enough
-// cores; the runs and their accounting checks execute everywhere.
-func TestScalingAllocContention(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scaling experiment skipped in -short mode")
-	}
-	cached, err := ScalingAlloc("uvm", uvm.Boot, []int{8}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := ScalingAlloc("uvm-pool", uvm.Boot, []int{8}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, sp := cached[0], single[0]
-	if cp.AllocAcquires == 0 || sp.AllocAcquires == 0 {
-		t.Fatalf("alloc acquisition counters missing: cached %+v single %+v", cp, sp)
-	}
-	if cp.AllocCaches != 8 || sp.AllocCaches != 0 {
-		t.Fatalf("layouts mislabelled: cached %+v single %+v", cp, sp)
-	}
-	// Note the acquisition counts are similar between layouts — cached
-	// allocation still takes one (magazine) lock per alloc, plus batched
-	// refills. The point is *which* lock: private magazines barely
-	// contend, the shared pool's shard locks do. That only shows in the
-	// contended share, which needs real cores to exist at all.
-	t.Logf("alloc contention at 8 goroutines: cached %.3f%% (%d/%d), single-pool %.3f%% (%d/%d)",
-		100*cp.AllocContentionRatio(), cp.AllocContended, cp.AllocAcquires,
-		100*sp.AllocContentionRatio(), sp.AllocContended, sp.AllocAcquires)
-	if runtime.GOMAXPROCS(0) < 4 {
-		t.Skipf("GOMAXPROCS=%d: lock contention not observable without cores", runtime.GOMAXPROCS(0))
-	}
-	if r := cp.AllocContentionRatio(); r > 0.10 {
-		t.Errorf("cached allocator contended on %.1f%% of acquisitions, want <= 10%%", 100*r)
-	}
-	if cp.AllocContentionRatio() > sp.AllocContentionRatio() {
-		t.Errorf("cached alloc contention (%.3f%%) exceeds single-pool contention (%.3f%%)",
-			100*cp.AllocContentionRatio(), 100*sp.AllocContentionRatio())
-	}
-}
-
 // TestScalingRunsOnBothSystems smoke-tests the experiment driver end to
 // end at small scale: both systems complete the workload and report
 // plausible numbers.

@@ -17,23 +17,18 @@
 // identical to a single global queue, which keeps single-threaded
 // simulations deterministic and bit-for-bit comparable across runs.
 //
-// Allocation has two layouts. With the per-CPU free-page caches off
-// (the default, and the byte-deterministic configuration the paper
-// experiments run with) Alloc and Free work directly on the sharded
-// free lists — the single global pool. With SetAllocCaches, allocating
-// goroutines are spread across private magazines of free frames that
-// refill from and drain to that pool in batches (see alloccache.go), so
-// the pool stops being a machine-wide serialisation point; the pool is
-// still where every frame ultimately lives and the only layer reclaim
-// has to understand.
+// Allocation works directly on the sharded free lists — one global
+// pool. Alloc rotates its starting shard so concurrent allocators
+// rarely meet on one lock, and falls through to the next shard when a
+// free list is empty; Free returns a frame to its home shard. The
+// allocation path counts its shard-lock acquisitions, and how many had
+// to wait, in the phys.alloc.* stats.
 //
-// Either way, the free-page count is a lock-free atomic maintained by
-// the allocation paths; it counts every free frame — pooled or parked
-// in a magazine — so watermark checks never touch the shard locks and
-// never miss cached frames. SetLowWater registers a wakeup callback
-// fired from allocation whenever the count drops below the low-water
-// mark; this is how the asynchronous pagedaemon is woken ahead of
-// actual exhaustion.
+// The free-page count is a lock-free atomic maintained by the
+// allocation paths, so watermark checks never touch the shard locks.
+// SetLowWater registers a wakeup callback fired from allocation
+// whenever the count drops below the low-water mark; this is how the
+// asynchronous pagedaemon is woken ahead of actual exhaustion.
 //
 // Page state bits (Dirty, Referenced, Busy, WireCount, LoanCount) are
 // atomics: they are read lock-free by queue scans while being written
@@ -223,26 +218,14 @@ type Mem struct {
 	seqCtr      atomic.Uint64 // global LRU stamp source
 	allocCursor atomic.Uint64 // round-robin shard hint for Alloc
 
-	freeCnt  atomic.Int64 // lock-free count of free frames, pooled or cached
+	freeCnt  atomic.Int64 // lock-free count of free frames
 	lowWater atomic.Int64 // free-page threshold that fires lowWake
 	lowWake  atomic.Value // func(): pagedaemon doorbell, must not block
-
-	// Per-CPU free-page caches (alloccache.go). Empty caches = disabled:
-	// allocation runs on the global pool exactly as before the magazines
-	// existed. allocGate is the refill-to-use test hook.
-	caches     []*allocCache
-	allocBatch int
-	allocGate  func()
 
 	// Cached stat handles for the allocation path (phys.alloc.*): hot
 	// enough that the name lookup per bump would show up.
 	ctrAllocAcquires  sim.Counter
 	ctrAllocContended sim.Counter
-	ctrAllocHits      sim.Counter
-	ctrAllocRefills   sim.Counter
-	ctrAllocDrains    sim.Counter
-	ctrAllocSteals    sim.Counter
-	ctrAllocReaps     sim.Counter
 }
 
 // NewMem boots a machine with npages page frames. All frame data buffers
@@ -254,11 +237,6 @@ func NewMem(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, npages int) *M
 	m := &Mem{clock: clock, costs: costs, stats: stats, total: npages}
 	m.ctrAllocAcquires = stats.Counter(sim.CtrAllocAcquires)
 	m.ctrAllocContended = stats.Counter(sim.CtrAllocContended)
-	m.ctrAllocHits = stats.Counter(sim.CtrAllocHits)
-	m.ctrAllocRefills = stats.Counter(sim.CtrAllocRefills)
-	m.ctrAllocDrains = stats.Counter(sim.CtrAllocDrains)
-	m.ctrAllocSteals = stats.Counter(sim.CtrAllocSteals)
-	m.ctrAllocReaps = stats.Counter(sim.CtrAllocReaps)
 	arena := make([]byte, npages*param.PageSize)
 	m.frames = make([]Page, npages)
 	for i := range m.frames {
@@ -290,8 +268,7 @@ func (m *Mem) shardOf(p *Page) *memShard { return &m.shards[p.home] }
 // TotalPages returns the amount of physical memory in pages.
 func (m *Mem) TotalPages() int { return m.total }
 
-// FreePages returns the current number of free frames, wherever they
-// sit — the global pool plus every per-CPU magazine. It reads the
+// FreePages returns the current number of free frames. It reads the
 // lock-free counter, so watermark polls never contend with allocators.
 func (m *Mem) FreePages() int { return int(m.freeCnt.Load()) }
 
@@ -335,33 +312,12 @@ func (m *Mem) BusyPages() []*Page {
 	return busy
 }
 
-// ForEachFrame visits every physical frame in PA order until fn returns
-// false. It takes no locks — the visitor sees each frame's atomics
-// (owner, state bits) at whatever instant it reaches them, like
-// BusyPages — so it suits lazy sweeps that re-verify under the owner
-// lock before acting (the syncer's dirty-page trickle).
-func (m *Mem) ForEachFrame(fn func(*Page) bool) {
-	for i := range m.frames {
-		if !fn(&m.frames[i]) {
-			return
-		}
-	}
-}
-
 // Alloc takes a free frame. If zero is set the frame is zero-filled
 // (and the zeroing cost charged); otherwise its previous contents are
-// undefined, exactly like a real free-list page.
-//
-// With the per-CPU caches enabled the frame comes from the calling
-// goroutine's magazine (AllocCPU with a goroutine-affine slot) and the
-// global pool is only touched on a refill. Without them the pool is the
-// allocator: allocation rotates across the queue shards so concurrent
-// allocators rarely meet on one lock, and a shard whose free list is
-// empty falls through to the next.
+// undefined, exactly like a real free-list page. Allocation rotates
+// across the queue shards so concurrent allocators rarely meet on one
+// lock, and a shard whose free list is empty falls through to the next.
 func (m *Mem) Alloc(owner any, off param.PageOff, zero bool) (*Page, error) {
-	if len(m.caches) > 0 {
-		return m.AllocCPU(cpuSlot(len(m.caches)), owner, off, zero)
-	}
 	start := int(m.allocCursor.Add(1) - 1)
 	var p *Page
 	for i := 0; i < numShards; i++ {
@@ -382,28 +338,43 @@ func (m *Mem) Alloc(owner any, off param.PageOff, zero bool) (*Page, error) {
 	return p, nil
 }
 
-// Free returns a frame to the free set: its home free list, or — with
-// the per-CPU caches on — the freeing goroutine's magazine, which drains
-// to the pool in batches. The caller must have removed all mappings;
-// queue membership is cleared here either way.
-func (m *Mem) Free(p *Page) {
-	if n := len(m.caches); n > 0 {
-		m.FreeCPU(cpuSlot(n), p)
-		return
+// lockShardAlloc acquires a queue shard on the allocation path, counting
+// the acquisition — and whether it had to wait — in the phys.alloc.*
+// stats. (The free path's detach acquisition is queue bookkeeping, not
+// allocator traffic, and is deliberately not counted.)
+func (m *Mem) lockShardAlloc(sh *memShard) {
+	if !sh.mu.TryLock() {
+		m.ctrAllocContended.Inc()
+		sh.mu.Lock()
 	}
-	m.freePrep(p)
-	sh := m.shardOf(p)
-	sh.mu.Lock()
-	sh.detachLocked(p)
-	p.queue = QueueFree
-	sh.free.pushTail(p)
-	sh.mu.Unlock()
-	m.freeCnt.Add(1)
+	m.ctrAllocAcquires.Inc()
 }
 
-// freePrep is the part of freeing shared by every layout: the
-// wired/loaned panics, the cost, and clearing identity and dirt.
-func (m *Mem) freePrep(p *Page) {
+// finishAlloc applies the post-allocation protocol to a frame just
+// taken off a free list: maintain the lock-free free counter and fire
+// the low-water doorbell, charge the cost, stamp the owner, and reset
+// the state bits.
+func (m *Mem) finishAlloc(p *Page, owner any, off param.PageOff, zero bool) {
+	if free := m.freeCnt.Add(-1); free < m.lowWater.Load() {
+		if wake, ok := m.lowWake.Load().(func()); ok {
+			wake()
+		}
+	}
+	m.clock.Advance(m.costs.PageAlloc)
+	p.SetOwner(owner, off)
+	p.Dirty.Store(false)
+	p.Referenced.Store(false)
+	p.Busy.Store(false)
+	p.WireCount.Store(0)
+	p.LoanCount.Store(0)
+	if zero {
+		m.Zero(p)
+	}
+}
+
+// Free returns a frame to its home shard's free list. The caller must
+// have removed all mappings; queue membership is cleared here.
+func (m *Mem) Free(p *Page) {
 	if p.WireCount.Load() > 0 {
 		panic("phys: freeing wired page " + p.String())
 	}
@@ -413,6 +384,13 @@ func (m *Mem) freePrep(p *Page) {
 	m.clock.Advance(m.costs.PageFree)
 	p.SetOwner(nil, 0)
 	p.Dirty.Store(false)
+	sh := m.shardOf(p)
+	sh.mu.Lock()
+	sh.detachLocked(p)
+	p.queue = QueueFree
+	sh.free.pushTail(p)
+	sh.mu.Unlock()
+	m.freeCnt.Add(1)
 }
 
 // Zero clears a frame's data, charging the zeroing cost.
@@ -498,11 +476,6 @@ func (sh *memShard) detachLocked(p *Page) {
 	p.queue = QueueNone
 }
 
-// NumQueueShards returns the page-queue shard count. Reclaim workers use
-// it to carve the inactive queue into disjoint shard ranges for
-// ScanInactiveRange.
-func NumQueueShards() int { return numShards }
-
 // ScanInactive calls fn on up to max pages in global LRU order from the
 // inactive queue. fn runs without any queue lock held so it may call back
 // into Mem; the scan snapshots candidates first, skipping busy, wired and
@@ -510,21 +483,6 @@ func NumQueueShards() int { return numShards }
 // merged by sequence stamp, so the visit order matches what a single
 // global inactive queue would produce.
 func (m *Mem) ScanInactive(max int, fn func(*Page) bool) {
-	m.ScanInactiveRange(0, numShards, max, fn)
-}
-
-// ScanInactiveRange is ScanInactive restricted to queue shards
-// [loShard, hiShard): it visits up to max inactive pages homed in those
-// shards, merged to the LRU order of the covered subset. Parallel reclaim
-// workers each scan a disjoint range, so they never hand one another the
-// same page; with the full range it is exactly ScanInactive.
-func (m *Mem) ScanInactiveRange(loShard, hiShard, max int, fn func(*Page) bool) {
-	if loShard < 0 {
-		loShard = 0
-	}
-	if hiShard > numShards {
-		hiShard = numShards
-	}
 	// The LRU stamp is copied out while the shard lock is held: p.seq is
 	// re-stamped (under other shard locks) whenever a page moves queues,
 	// so the sort below must not touch the live field.
@@ -533,7 +491,7 @@ func (m *Mem) ScanInactiveRange(loShard, hiShard, max int, fn func(*Page) bool) 
 		seq uint64
 	}
 	var cand []candidate
-	for i := loShard; i < hiShard; i++ {
+	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
 		cnt := 0
@@ -625,9 +583,8 @@ func (m *Mem) RefillInactive(n int) int {
 	return moved
 }
 
-// FreeListLen counts the global pool's free lists directly (debug
-// helper). Frames parked in per-CPU magazines are not included; see
-// CachedFreePages for those.
+// FreeListLen counts the free lists directly (debug helper); at rest it
+// equals FreePages.
 func (m *Mem) FreeListLen() int {
 	n := 0
 	for i := range m.shards {

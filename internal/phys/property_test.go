@@ -9,23 +9,23 @@ import (
 	"uvm/internal/sim"
 )
 
-// Model-checked property tests for the per-CPU free-page caches: random
-// Alloc/Free/activate/deactivate/reap sequences across k simulated CPUs
-// are checked, after every operation, against a reference model the
-// implementation cannot satisfy by accident. The invariants:
+// Model-checked property tests for the page allocator: random
+// Alloc/Free/activate/deactivate sequences are checked, after every
+// operation, against a reference model the implementation cannot
+// satisfy by accident. The invariants:
 //
 //  1. no frame is ever handed out twice while allocated (no
 //     double-alloc), and allocation only fails when the model says the
 //     machine is truly out of frames;
 //  2. the lock-free free counter is exact at every step: FreePages ==
-//     total - live, wherever the free frames sit;
-//  3. the global pool's free lists and the magazines always PARTITION
-//     the free set — every non-live frame appears in exactly one of
-//     them, exactly once, and no live frame appears in either.
+//     total - live;
+//  3. the shard free lists hold exactly the free set — every non-live
+//     frame appears on exactly one of them, exactly once, and no live
+//     frame appears on any.
 //
 // The deterministic variant replays a fixed-seed op stream on one
 // goroutine so a failure is a repeatable counterexample; the concurrent
-// variant runs allocator/reaper workers under -race with a shared frame
+// variant runs racing allocator workers under -race with a shared frame
 // registry. FuzzAllocFree drives the same model from an arbitrary byte
 // stream so `go test -fuzz` can search for new counterexamples, and
 // TestAllocPropertyCatchesDoubleFree mutation-checks the checker itself
@@ -42,8 +42,7 @@ func checkAllocInvariants(m *Mem, live map[*Page]bool) error {
 			got, wantFree, m.total, len(live))
 	}
 
-	// Collect every frame reachable from a free structure, counting
-	// multiplicity: shard free lists first, then the magazines.
+	// Collect every frame on a free list, counting multiplicity.
 	seen := make(map[*Page]int)
 	poolN := 0
 	for i := range m.shards {
@@ -59,27 +58,13 @@ func checkAllocInvariants(m *Mem, live map[*Page]bool) error {
 		}
 		sh.mu.Unlock()
 	}
-	cachedN := 0
-	for ci, c := range m.caches {
-		c.mu.Lock()
-		for _, p := range c.pages {
-			seen[p]++
-			cachedN++
-			if p.queue != QueueNone {
-				c.mu.Unlock()
-				return fmt.Errorf("frame %v in magazine %d with queue=%d, want QueueNone", p.PA, ci, p.queue)
-			}
-		}
-		c.mu.Unlock()
-	}
 
-	if poolN+cachedN != wantFree {
-		return fmt.Errorf("free set size: pool %d + magazines %d = %d, model wants %d",
-			poolN, cachedN, poolN+cachedN, wantFree)
+	if poolN != wantFree {
+		return fmt.Errorf("free set size: free lists hold %d, model wants %d", poolN, wantFree)
 	}
 	for p, n := range seen {
 		if n > 1 {
-			return fmt.Errorf("frame %v appears %d times in the free structures (double-free)", p.PA, n)
+			return fmt.Errorf("frame %v appears %d times on the free lists (double-free)", p.PA, n)
 		}
 		if live[p] {
 			return fmt.Errorf("frame %v is both live and free", p.PA)
@@ -89,33 +74,31 @@ func checkAllocInvariants(m *Mem, live map[*Page]bool) error {
 	for i := range m.frames {
 		p := &m.frames[i]
 		if !live[p] && seen[p] == 0 {
-			return fmt.Errorf("frame %v is neither live nor in any free structure (leaked)", p.PA)
+			return fmt.Errorf("frame %v is neither live nor on a free list (leaked)", p.PA)
 		}
 	}
 	return nil
 }
 
-// propMem boots a small machine with k magazines. Sized so the op
-// streams exercise refill, drain, steal and exhaustion, not just the
-// warm fast path.
-func propMem(k, batch, npages int) *Mem {
-	m := NewMem(sim.NewClock(), sim.DefaultCosts(), sim.NewStats(), npages)
-	m.SetAllocCaches(k, batch)
-	return m
+// propMem boots a small machine for the op streams.
+func propMem(npages int) *Mem {
+	return NewMem(sim.NewClock(), sim.DefaultCosts(), sim.NewStats(), npages)
 }
+
+// propOps is the number of distinct modelled operations propStep knows.
+const propOps = 6
 
 // propStep applies one modelled operation chosen by op/arg to m,
 // maintaining the live set and an ordered slice for deterministic victim
 // selection. It reports invariant-1 violations via t.
 func propStep(t testing.TB, m *Mem, op, arg int, live map[*Page]bool, order *[]*Page) {
 	t.Helper()
-	k := m.AllocCaches()
 	switch op {
-	case 0, 1, 2: // alloc on CPU arg (weighted: allocation dominates)
-		pg, err := m.AllocCPU(arg%k, nil, 0, false)
+	case 0, 1, 2: // alloc (weighted: allocation dominates)
+		pg, err := m.Alloc(nil, 0, false)
 		if err != nil {
 			if len(live) != m.total {
-				t.Fatalf("AllocCPU failed with %d of %d frames live: %v", len(live), m.total, err)
+				t.Fatalf("Alloc failed with %d of %d frames live: %v", len(live), m.total, err)
 			}
 			return
 		}
@@ -124,7 +107,7 @@ func propStep(t testing.TB, m *Mem, op, arg int, live map[*Page]bool, order *[]*
 		}
 		live[pg] = true
 		*order = append(*order, pg)
-	case 3, 4: // free a victim on CPU arg
+	case 3, 4: // free a victim
 		if len(*order) == 0 {
 			return
 		}
@@ -133,7 +116,7 @@ func propStep(t testing.TB, m *Mem, op, arg int, live map[*Page]bool, order *[]*
 		(*order)[i] = (*order)[len(*order)-1]
 		*order = (*order)[:len(*order)-1]
 		delete(live, pg)
-		m.FreeCPU(arg%k, pg)
+		m.Free(pg)
 	case 5: // queue traffic on a live page, so frees detach from queues
 		if len(*order) == 0 {
 			return
@@ -144,33 +127,31 @@ func propStep(t testing.TB, m *Mem, op, arg int, live map[*Page]bool, order *[]*
 		} else {
 			m.Deactivate(pg)
 		}
-	case 6: // reap every magazine back into the pool
-		m.ReapCaches()
 	}
 }
 
-// TestAllocPropertyDeterministic replays a fixed-seed op stream across 4
-// simulated CPUs, checking the full invariant set after every step.
+// TestAllocPropertyDeterministic replays a fixed-seed op stream,
+// checking the full invariant set after every step.
 func TestAllocPropertyDeterministic(t *testing.T) {
 	const (
-		cpus   = 4
-		batch  = 8
-		npages = 96 // < cpus*2*batch+pool, so exhaustion and steal happen
+		npages = 96 // small enough that the stream runs the machine dry
 		ops    = 6000
 	)
-	m := propMem(cpus, batch, npages)
+	m := propMem(npages)
 	rng := sim.NewRNG(0xa110c)
 	live := make(map[*Page]bool)
 	var order []*Page
+	exhausted := false
 	for i := 0; i < ops; i++ {
-		propStep(t, m, rng.Intn(7), rng.Intn(1<<30), live, &order)
+		propStep(t, m, rng.Intn(propOps), rng.Intn(1<<30), live, &order)
 		if err := checkAllocInvariants(m, live); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
+		exhausted = exhausted || len(live) == npages
 	}
 	// Drain to empty and re-check: everything must come home.
 	for _, pg := range order {
-		m.FreeCPU(0, pg)
+		m.Free(pg)
 	}
 	if err := checkAllocInvariants(m, map[*Page]bool{}); err != nil {
 		t.Fatalf("after final drain: %v", err)
@@ -178,46 +159,27 @@ func TestAllocPropertyDeterministic(t *testing.T) {
 	if got := m.FreePages(); got != npages {
 		t.Fatalf("FreePages=%d after freeing everything, want %d", got, npages)
 	}
-	st := m.stats
-	if st.Get(sim.CtrAllocRefills) == 0 || st.Get(sim.CtrAllocDrains) == 0 || st.Get(sim.CtrAllocReaps) == 0 {
-		t.Errorf("op stream did not exercise the cache machinery: refills=%d drains=%d reaps=%d",
-			st.Get(sim.CtrAllocRefills), st.Get(sim.CtrAllocDrains), st.Get(sim.CtrAllocReaps))
+	if !exhausted {
+		t.Errorf("op stream never ran the %d-page machine dry over %d ops", npages, ops)
 	}
-	if st.Get(sim.CtrAllocHits) == 0 {
-		t.Errorf("no magazine hits recorded over %d ops", ops)
+	if m.stats.Get(sim.CtrAllocAcquires) == 0 {
+		t.Errorf("no allocation-path lock acquisitions recorded over %d ops", ops)
 	}
 }
 
-// TestAllocPropertyConcurrent runs the same op mix from 8 racing workers
-// (each pinned to its own CPU slot, as real faulting goroutines hash to
-// magazines) plus a reaper, under a shared registry that catches any
-// frame handed to two owners at once. Exact counter equality is only
-// checkable at quiescent points; the registry and the race detector
-// carry the load mid-flight.
+// TestAllocPropertyConcurrent runs the same op mix from 8 racing
+// workers under a shared registry that catches any frame handed to two
+// owners at once. Exact counter equality is only checkable at quiescent
+// points; the registry and the race detector carry the load mid-flight.
 func TestAllocPropertyConcurrent(t *testing.T) {
 	const (
 		workers = 8
-		batch   = 8
-		npages  = 160 // keeps the pool under pressure: steal + ErrNoMemory paths run
+		npages  = 160 // keeps the pool under pressure: the ErrNoMemory path runs
 		ops     = 4000
 	)
-	m := propMem(workers, batch, npages)
+	m := propMem(npages)
 	var owner sync.Map // *Page -> worker id
 	var failures atomic.Int32
-	stop := make(chan struct{})
-	var reaps sync.WaitGroup
-	reaps.Add(1)
-	go func() {
-		defer reaps.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				m.ReapCaches()
-			}
-		}
-	}()
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -228,7 +190,7 @@ func TestAllocPropertyConcurrent(t *testing.T) {
 			var mine []*Page
 			for i := 0; i < ops; i++ {
 				if rng.Intn(3) != 0 || len(mine) == 0 {
-					pg, err := m.AllocCPU(id, nil, 0, false)
+					pg, err := m.Alloc(nil, 0, false)
 					if err != nil {
 						continue // pool genuinely under pressure
 					}
@@ -244,18 +206,16 @@ func TestAllocPropertyConcurrent(t *testing.T) {
 					mine[i] = mine[len(mine)-1]
 					mine = mine[:len(mine)-1]
 					owner.Delete(pg)
-					m.FreeCPU(id, pg)
+					m.Free(pg)
 				}
 			}
 			for _, pg := range mine {
 				owner.Delete(pg)
-				m.FreeCPU(id, pg)
+				m.Free(pg)
 			}
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
-	reaps.Wait()
 	if failures.Load() > 0 {
 		return
 	}
@@ -269,39 +229,35 @@ func TestAllocPropertyConcurrent(t *testing.T) {
 
 // TestAllocPropertyCatchesDoubleFree mutation-checks the checker: a
 // seeded double-free — the canonical allocator corruption — must be
-// reported, both in the magazine layout and in the single-pool layout.
-// If this test fails, the property suite has lost its teeth.
+// reported. If this test fails, the property suite has lost its teeth.
+// The subtest is named for the allocator layout it runs on: the single
+// shared pool, with no per-CPU free-page caches in front of it.
 func TestAllocPropertyCatchesDoubleFree(t *testing.T) {
-	for _, caches := range []int{4, 0} {
-		t.Run(fmt.Sprintf("caches-%d", caches), func(t *testing.T) {
-			m := NewMem(sim.NewClock(), sim.DefaultCosts(), sim.NewStats(), 64)
-			if caches > 0 {
-				m.SetAllocCaches(caches, 8)
+	t.Run("caches-0", func(t *testing.T) {
+		m := propMem(64)
+		live := make(map[*Page]bool)
+		var pages []*Page
+		for i := 0; i < 8; i++ {
+			pg, err := m.Alloc(nil, 0, false)
+			if err != nil {
+				t.Fatal(err)
 			}
-			live := make(map[*Page]bool)
-			var pages []*Page
-			for i := 0; i < 8; i++ {
-				pg, err := m.AllocCPU(i, nil, 0, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				live[pg] = true
-				pages = append(pages, pg)
-			}
-			victim := pages[3]
-			delete(live, victim)
-			m.FreeCPU(1, victim)
-			if err := checkAllocInvariants(m, live); err != nil {
-				t.Fatalf("healthy state flagged: %v", err)
-			}
-			m.FreeCPU(2, victim) // the seeded bug
-			if err := checkAllocInvariants(m, live); err == nil {
-				t.Fatal("checker did not detect a double-freed frame")
-			} else {
-				t.Logf("detected as expected: %v", err)
-			}
-		})
-	}
+			live[pg] = true
+			pages = append(pages, pg)
+		}
+		victim := pages[3]
+		delete(live, victim)
+		m.Free(victim)
+		if err := checkAllocInvariants(m, live); err != nil {
+			t.Fatalf("healthy state flagged: %v", err)
+		}
+		m.Free(victim) // the seeded bug
+		if err := checkAllocInvariants(m, live); err == nil {
+			t.Fatal("checker did not detect a double-freed frame")
+		} else {
+			t.Logf("detected as expected: %v", err)
+		}
+	})
 }
 
 // FuzzAllocFree drives the modelled op stream from an arbitrary byte
@@ -309,22 +265,19 @@ func TestAllocPropertyCatchesDoubleFree(t *testing.T) {
 // every step. The seed corpus covers each op kind; `go test -fuzz` mines
 // for counterexamples.
 func FuzzAllocFree(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 1, 3, 0, 6, 0})
+	f.Add([]byte{0, 0, 0, 1, 3, 0, 4, 0})
 	f.Add([]byte{0, 1, 0, 2, 5, 1, 5, 2, 4, 9})
-	f.Add([]byte{2, 7, 2, 8, 2, 9, 3, 3, 6, 0, 1, 4})
+	f.Add([]byte{2, 7, 2, 8, 2, 9, 3, 3, 1, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const (
-			cpus   = 3
-			batch  = 4
-			npages = 40
-		)
-		m := propMem(cpus, batch, npages)
+		const npages = 40
+		m := propMem(npages)
 		live := make(map[*Page]bool)
 		var order []*Page
 		for i := 0; i+1 < len(data) && i < 512; i += 2 {
-			propStep(t, m, int(data[i])%7, int(data[i+1]), live, &order)
+			op := int(data[i]) % propOps
+			propStep(t, m, op, int(data[i+1]), live, &order)
 			if err := checkAllocInvariants(m, live); err != nil {
-				t.Fatalf("op %d (%d,%d): %v", i/2, data[i]%7, data[i+1], err)
+				t.Fatalf("op %d (%d,%d): %v", i/2, op, data[i+1], err)
 			}
 		}
 	})

@@ -152,7 +152,7 @@ const (
 	CtrDiskDeferredNs  = "disk.deferred_ns" // device-busy time of deferred (overlapped) I/O
 	// CtrDiskWritesDeferred counts deferred (overlapped) write commands;
 	// CtrDiskDeferredNs / CtrDiskWritesDeferred is the per-completion
-	// device-busy latency the control plane steers window depth by.
+	// device-busy latency of the async write windows.
 	CtrDiskWritesDeferred = "disk.writes.deferred"
 	CtrSwapSlotsLive      = "swap.slots.live"
 	CtrSwapIOs            = "swap.ios"
@@ -209,16 +209,10 @@ const (
 	CtrAobjPageinClusters  = "uvm.aobj.pagein.clusters"  // clustered aobj pagein I/Os
 	CtrAobjPageinClustered = "uvm.aobj.pagein.clustered" // extra aobj pages per cluster ride
 
-	// Page-allocator counters (internal/phys/alloccache.go). The
-	// contended/acquires ratio is the fault path's allocation-lock
-	// contention — on the global pool's queue shards in single-pool mode,
-	// on the per-CPU magazines when free-page caches are enabled;
-	// experiments.Scaling reports it at each goroutine count.
-	CtrAllocAcquires  = "phys.alloc.acquires"  // alloc-path lock acquisitions (shard or magazine)
+	// Page-allocator counters (internal/phys). The contended/acquires
+	// ratio is the fault path's allocation-lock contention on the free
+	// lists' queue shards; experiments.Scaling reports it at each
+	// goroutine count.
+	CtrAllocAcquires  = "phys.alloc.acquires"  // alloc-path shard-lock acquisitions
 	CtrAllocContended = "phys.alloc.contended" // acquisitions that found the lock held
-	CtrAllocHits      = "phys.alloc.hits"      // allocations served from a warm magazine
-	CtrAllocRefills   = "phys.alloc.refills"   // magazine refills from the global pool
-	CtrAllocDrains    = "phys.alloc.drains"    // over-full magazine drains to the global pool
-	CtrAllocSteals    = "phys.alloc.steals"    // refills that raided sibling magazines (pool dry)
-	CtrAllocReaps     = "phys.alloc.reaps"     // whole-magazine reaps back to the pool (reclaim)
 )

@@ -42,39 +42,16 @@ func (a *aio) init() {
 }
 
 // SetAIOWindow sets the per-device in-flight window for asynchronous
-// cluster writes; n <= 0 restores the default. The change is live: every
-// existing device writer is resized immediately — writes admitted under
-// an old, larger window complete and drain normally, new submissions
-// wait for the in-flight count to fall under the new bound — and devices
-// configured after the call use the new window too. Safe to call at any
-// time, concurrently with WriteClusterAsync (the control plane resizes
-// the window from observed completion latency).
+// cluster writes; n <= 0 restores the default. It is a boot-time
+// setting: each device's writer takes the window when it is created, on
+// its first asynchronous write, so the call must come before any.
 func (s *Swap) SetAIOWindow(n int) {
 	if n <= 0 {
 		n = DefaultAIOWindow
 	}
 	s.aio.mu.Lock()
 	s.aio.window = n
-	var writers []*disk.AsyncWriter
-	for _, d := range s.devs.Load().devices {
-		if d.writer != nil {
-			writers = append(writers, d.writer)
-		}
-	}
 	s.aio.mu.Unlock()
-	// Resize outside aio.mu: the writer's own mutex is a leaf and the
-	// resize never blocks.
-	for _, w := range writers {
-		w.SetWindow(n)
-	}
-}
-
-// AIOWindow returns the configured per-device in-flight window
-// (test/debug helper).
-func (s *Swap) AIOWindow() int {
-	s.aio.mu.Lock()
-	defer s.aio.mu.Unlock()
-	return s.aio.window
 }
 
 // AIOInFlight returns the number of asynchronous cluster writes currently

@@ -186,7 +186,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 			if write && e.cow {
 				na = s.newAnon()
 				var err error
-				np, err = s.allocPage(na, 0, false)
+				np, err = s.allocPage(nil, 0, false) // owner set once na is locked
 				if err != nil {
 					return nil, 0, nil, err
 				}
@@ -242,6 +242,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 				na.mu.Lock() // hold the anon across the pmap entry
 				am.mu.Unlock()
 				o.mu.Unlock()
+				np.SetOwner(na, 0)
 				return np, e.prot, func() { na.mu.Unlock() }, nil
 			}
 			if write {
@@ -271,9 +272,14 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 		}
 
 		// ---- Layer 3: pure zero-fill (the amap was materialised before
-		// resolve; the slot is empty). ----
+		// resolve; the slot is empty). The frame is allocated ownerless
+		// and handed to na only once na is locked: a reclaimer working
+		// from a stale inactive-queue snapshot can meet the frame as soon
+		// as it is allocated, and must find either no owner or a locked
+		// one, never a half-built anon it could TryLock and evict from.
+		// (The promote and copy-on-write paths follow the same rule.)
 		na := s.newAnon()
-		np, err := s.allocPage(na, 0, true)
+		np, err := s.allocPage(nil, 0, true)
 		if err != nil {
 			return nil, 0, nil, err
 		}
@@ -291,6 +297,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 		am.impl.set(e.slotOf(va), na)
 		na.mu.Lock()
 		am.mu.Unlock()
+		np.SetOwner(na, 0)
 		return np, e.prot, func() { na.mu.Unlock() }, nil
 	}
 }
@@ -302,7 +309,7 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 	a.mu.Lock()
 	if a.page == nil {
 		var err error
-		if s.pageinWindow() > 1 && a.swslot != swap.NoSlot {
+		if s.cfg.PageinCluster > 1 && a.swslot != swap.NoSlot {
 			// Clustered pagein: drag in VA neighbours whose swap slots
 			// are adjacent to ours with the same I/O (see pagein.go).
 			err = s.pageinCluster(am, a, slot)
@@ -341,7 +348,7 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 	// reference to the original (§5.2). Also the loan-break path: writing
 	// to a loaned page must not disturb the borrowers.
 	na := s.newAnon()
-	np, err := s.allocPage(na, 0, false)
+	np, err := s.allocPage(nil, 0, false) // owner set once na is locked
 	if err != nil {
 		a.mu.Unlock()
 		am.mu.Unlock()
@@ -355,6 +362,7 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 	s.anonUnref(a)
 	na.mu.Lock() // hold the fresh anon across the pmap entry
 	am.mu.Unlock()
+	np.SetOwner(na, 0)
 	s.mach.Stats.Inc("uvm.cow.copies")
 	return np, e.prot, func() { na.mu.Unlock() }, nil
 }
@@ -398,13 +406,6 @@ func (s *System) lookahead(p *Process, e *entry, faultVA param.VAddr) {
 	ahead, behind := e.advice.Lookahead()
 	if ahead == 0 && behind == 0 {
 		return
-	}
-	if boost := s.lookaheadBoost(); boost > 0 && ahead > 0 {
-		// Control plane: widen the forward window past the advice
-		// baseline while the batched-entry payoff holds up. Never applied
-		// to Random-advice entries (ahead == 0) — their zero window is a
-		// correctness choice, not a tuning.
-		ahead += boost
 	}
 	base := param.Trunc(faultVA)
 	lo := e.start

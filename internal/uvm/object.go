@@ -312,7 +312,7 @@ func (ap *aobjPager) get(o *uobject, idx int) (*phys.Page, error) {
 			pg.Dirty.Store(true)
 			return pg, nil
 		}
-		if ap.sys.pageinWindow() > 1 && tries < 3 {
+		if ap.sys.cfg.PageinCluster > 1 && tries < 3 {
 			// Try to drag slot-adjacent neighbour pages in with the same
 			// I/O (the aobj mirror of anon clustered pagein; see
 			// pagein.go). retry means the slot state shifted while the

@@ -323,7 +323,6 @@ func (s *System) wbWriteDone(pages []*phys.Page, err error, batch *wbBatch) {
 	if batch != nil {
 		batch.done(written, err)
 	}
-	s.tunerTick()
 }
 
 // flushObjectRange cleans the dirty pages of o with index in

@@ -33,7 +33,7 @@ import (
 // exactly like anonPageinLocked (the single-slot path it falls back to
 // whenever no neighbour is adjacent or resources run short).
 func (s *System) pageinCluster(am *amap, a *anon, slot int) error {
-	window := s.pageinWindow()
+	window := s.cfg.PageinCluster
 	base := a.swslot
 	devLo, devHi := s.mach.Swap.DeviceBounds(base)
 
@@ -167,7 +167,7 @@ func (s *System) pageinCluster(am *amap, a *anon, slot int) error {
 // to fail a fault: read errors roll the neighbours back and report
 // nothing.
 func (s *System) aobjPageinCluster(o *uobject, idx int, slot int64, pg *phys.Page) (*phys.Page, bool, error) {
-	window := s.pageinWindow()
+	window := s.cfg.PageinCluster
 	devLo, devHi := s.mach.Swap.DeviceBounds(slot)
 
 	// Candidate neighbours: non-resident indices of the window whose

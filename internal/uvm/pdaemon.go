@@ -46,8 +46,8 @@ var (
 //     (asyncDone) frees the pages and bumps the generation.
 //
 // Rounds fan out to cfg.ReclaimWorkers parallel workers over disjoint
-// queue-shard ranges (reclaimRound); the daemon remains the only
-// watermark coordinator.
+// LRU runs of one inactive-queue snapshot (reclaimRound); the daemon
+// remains the only watermark coordinator.
 //
 // Shutdown (System.Shutdown) marks the daemon, broadcasts so blocked
 // allocators unwedge immediately, joins the goroutine, and then drains
@@ -57,24 +57,22 @@ var (
 type pagedaemon struct {
 	s *System
 
-	// Watermarks: wake the daemon when free pages drop below lowA; each
-	// round reclaims toward highA. Atomics because the control plane may
-	// retarget them live (setWatermarks) while the daemon, completions
-	// and blocked allocators read them.
-	lowA  atomic.Int64
-	highA atomic.Int64
+	// Watermarks, fixed at boot: wake the daemon when free pages drop
+	// below low; each round reclaims toward high (2×low).
+	low, high int
 
 	wake chan struct{} // doorbell; buffered(1), rung by kick
 	done chan struct{} // closed when the daemon goroutine exits
 
 	//uvm:lock daemon
-	mu       sync.Mutex
-	cond     *sync.Cond // signalled after every completed round
-	gen      uint64     // completed reclaim rounds + async completions
-	genFreed int        // pages freed by the most recent round/completion
-	waiters  int        // allocators currently blocked in waitForFree
-	inflight int        // async pageout clusters submitted, not yet completed
-	shutdown bool
+	mu         sync.Mutex
+	cond       *sync.Cond // signalled after every completed round
+	gen        uint64     // completed reclaim passes + async completions
+	genFreed   int        // pages freed by the most recent pass/completion
+	waiters    int        // allocators currently blocked in waitForFree
+	inflight   int        // async pageout clusters submitted, not yet completed
+	reclaiming int        // reclaim passes running: daemon rounds and direct reclaims
+	shutdown   bool
 
 	// gate, when non-nil, runs before each reclaim round. Test hook: it
 	// lets the shutdown-while-blocked and wakeup tests hold the daemon
@@ -87,36 +85,11 @@ func newPagedaemon(s *System, low int) *pagedaemon {
 		s:    s,
 		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
+		low:  low,
+		high: 2 * low,
 	}
-	pd.lowA.Store(int64(low))
-	pd.highA.Store(int64(2 * low))
 	pd.cond = sync.NewCond(&pd.mu)
 	return pd
-}
-
-// lowMark and highMark read the current watermarks.
-func (pd *pagedaemon) lowMark() int  { return int(pd.lowA.Load()) }
-func (pd *pagedaemon) highMark() int { return int(pd.highA.Load()) }
-
-// setWatermarks retargets the daemon live: low is the new wake
-// threshold, high the new per-round reclaim target (the control plane
-// keeps high = 2×low, like the static boot sizing). The phys watermark
-// callback is re-registered so allocations fire the doorbell at the new
-// threshold, and the doorbell is rung once — raising the low mark may
-// mean the machine is suddenly below it, and no allocation may come
-// along to notice. Safe from any goroutine, including ones holding VM
-// locks (it only stores atomics and rings the non-blocking doorbell);
-// allocators blocked in waitForFree are unaffected — they wait on round
-// generations, not watermark values, so no wakeup can be lost across a
-// resize.
-func (pd *pagedaemon) setWatermarks(low, high int) {
-	if low < 1 || high <= low {
-		return // controller bug; bounds are enforced upstream, keep safe
-	}
-	pd.lowA.Store(int64(low))
-	pd.highA.Store(int64(high))
-	pd.s.mach.Mem.SetLowWater(low, pd.kick)
-	pd.kick()
 }
 
 // kick rings the daemon's doorbell. Non-blocking and lock-free, so it is
@@ -152,7 +125,7 @@ func (pd *pagedaemon) run() {
 			}
 		}
 		free := pd.s.mach.Mem.FreePages()
-		if free >= pd.lowMark() {
+		if free >= pd.low {
 			pd.mu.Lock()
 			if pd.waiters == 0 {
 				// Spurious wakeup: no one waiting and memory is fine.
@@ -168,23 +141,18 @@ func (pd *pagedaemon) run() {
 			pd.mu.Unlock()
 			continue
 		}
-		target := pd.highMark() - free
+		target := pd.high - free
 		if target < pd.s.cfg.ReclaimBatch {
 			target = pd.s.cfg.ReclaimBatch
 		}
+		pd.mu.Lock()
+		pd.reclaiming++
+		pd.mu.Unlock()
 		freed, submitted := pd.s.reclaimRound(target)
-		if freed == 0 && submitted == 0 {
-			// The queues gave nothing and no I/O is on the wire from this
-			// round. Before declaring a stall, reap any frames parked in
-			// idle per-CPU allocation magazines back into the global pool:
-			// they already counted as free, but waiters' retries (and the
-			// watermark's notion of reachable memory) need them in the
-			// pool, not private to goroutines that stopped allocating.
-			freed = pd.s.mach.Mem.ReapCaches()
-		}
 		pd.s.ctrPdRounds.Inc()
 
 		pd.mu.Lock()
+		pd.reclaiming--
 		pd.gen++
 		pd.genFreed = freed
 		pd.cond.Broadcast()
@@ -197,10 +165,9 @@ func (pd *pagedaemon) run() {
 		// with the next scan; if the next scan finds everything already
 		// in flight it frees and submits nothing, stops re-kicking, and
 		// the completions take over via asyncDone's kick.)
-		if (freed > 0 || submitted > 0) && pd.s.mach.Mem.FreePages() < pd.lowMark() {
+		if (freed > 0 || submitted > 0) && pd.s.mach.Mem.FreePages() < pd.low {
 			pd.kick()
 		}
-		pd.s.tunerTick()
 	}
 }
 
@@ -223,10 +190,9 @@ func (pd *pagedaemon) asyncDone(freed int) {
 	pd.genFreed = freed
 	pd.cond.Broadcast()
 	pd.mu.Unlock()
-	if freed > 0 && pd.s.mach.Mem.FreePages() < pd.lowMark() {
+	if freed > 0 && pd.s.mach.Mem.FreePages() < pd.low {
 		pd.kick()
 	}
-	pd.s.tunerTick()
 }
 
 // waitForFree blocks the calling allocator until the daemon completes a
@@ -240,8 +206,7 @@ func (pd *pagedaemon) waitForFree() error {
 	pd.s.mach.Stats.Inc(sim.CtrPdBlocked)
 	// Wakeup-to-satisfy latency: how long (simulated) this allocator was
 	// stalled. The clock advances on other goroutines' work while we
-	// sleep, so the delta is the paging work the stall waited out — the
-	// signal the watermark controller sizes the low mark from.
+	// sleep, so the delta is the paging work the stall waited out.
 	start := pd.s.mach.Clock.Now()
 	defer func() {
 		pd.s.mach.Stats.Add(sim.CtrPdWaitNs, int64(pd.s.mach.Clock.Since(start)))
@@ -269,6 +234,42 @@ func (pd *pagedaemon) waitForFree() error {
 		}
 		return errPdStalled
 	}
+}
+
+// directReclaim is the allocator's fallback when the daemon cannot help
+// (it stalled or has shut down): one synchronous reclaim pass on the
+// calling goroutine, reported to the daemon's waiters like a round. A
+// fruitless pass is not yet a deadlock while other reclaim work is under
+// way: a concurrent reclaimer (a daemon round, another allocator's
+// direct reclaim) may have claimed every evictable page for a cluster it
+// is still writing, and async pageout may have clusters on the wire.
+// Their pages come free when that work finishes, so the caller waits for
+// it, and reports ErrDeadlock only once nothing is left in progress and
+// nothing was freed.
+func (pd *pagedaemon) directReclaim(target int) error {
+	pd.mu.Lock()
+	pd.reclaiming++
+	pd.mu.Unlock()
+	freed := pd.s.reclaimCount(target)
+	pd.mu.Lock()
+	defer pd.mu.Unlock()
+	pd.reclaiming--
+	pd.gen++
+	pd.genFreed = freed
+	pd.cond.Broadcast()
+	for freed == 0 && (pd.reclaiming > 0 || pd.inflight > 0) {
+		start := pd.gen
+		for pd.gen == start {
+			pd.cond.Wait()
+		}
+		if pd.genFreed > 0 || pd.s.mach.Mem.FreePages() > 0 {
+			return nil
+		}
+	}
+	if freed == 0 {
+		return vmapi.ErrDeadlock
+	}
+	return nil
 }
 
 // stop shuts the daemon down: blocked allocators are released
@@ -328,10 +329,14 @@ func (s *System) allocPage(owner any, off param.PageOff, zero bool) (*phys.Page,
 		if direct++; direct > directReclaimLimit {
 			return nil, vmapi.ErrDeadlock
 		}
+		var rerr error
 		if s.pd != nil {
 			s.ctrPdDirect.Inc()
+			rerr = s.pd.directReclaim(s.cfg.ReclaimBatch)
+		} else {
+			rerr = s.reclaim(s.cfg.ReclaimBatch)
 		}
-		if rerr := s.reclaim(s.cfg.ReclaimBatch); rerr != nil {
+		if rerr != nil {
 			return nil, rerr
 		}
 	}
@@ -417,118 +422,203 @@ func (s *System) reclaim(target int) error {
 }
 
 func (s *System) reclaimCount(target int) int {
-	freed, _ := s.reclaimRange(0, phys.NumQueueShards(), target, false)
-	if freed == 0 {
-		// A fruitless scan is not a stall while free frames sit parked in
-		// per-CPU allocation magazines: reap them into the global pool so
-		// the caller's retry can reach them from any goroutine. (The
-		// frames were already counted free — the watermark never lied —
-		// they were just private to idle magazines.)
-		freed = s.mach.Mem.ReapCaches()
-	}
+	freed, _ := s.reclaimScan(target, false)
 	return freed
 }
 
 // reclaimRound is the daemon's per-round entry point. The daemon itself
 // is the only coordinator — it sized the round's target from the
-// watermarks — and this function fans the scan out to cfg.ReclaimWorkers
-// workers over disjoint page-queue shard ranges (or runs the classic
-// single full-range scan for 0/1 workers, which keeps single-threaded
-// runs byte-deterministic). It returns the pages freed synchronously and
-// the pages submitted as in-flight asynchronous cluster writes.
+// watermarks — and this function fans the round out to cfg.ReclaimWorkers
+// workers (or runs the classic single scan for 0/1 workers, which keeps
+// single-threaded runs byte-deterministic). It returns the pages freed
+// synchronously and the pages submitted as in-flight asynchronous
+// cluster writes.
+//
+// The workers share one snapshot of the inactive queue in global LRU
+// order and claim it in runs of cfg.MaxCluster pages from a common
+// cursor, so every run is a single worker's and every cluster it writes
+// holds consecutive LRU pages. That keeps the swap layout the single
+// daemon would produce: pages evicted together sit in adjacent slots in
+// the order they were last used, and a later sequential pagein reads
+// them back without a seek per page. (Partitioning by queue shard
+// instead would hand each worker a strided slice of the LRU order — the
+// allocator spreads consecutive frames over the shards — and scatter
+// every producer's pages across the clusters.)
 func (s *System) reclaimRound(target int) (freed, submitted int) {
 	async := s.cfg.AsyncPageout
-	nsh := phys.NumQueueShards()
 	workers := s.cfg.ReclaimWorkers
-	if workers > nsh {
-		workers = nsh
-	}
 	if workers < 2 {
-		return s.reclaimRange(0, nsh, target, async)
+		return s.reclaimScan(target, async)
 	}
-	// Stock the inactive queue once up front, under the coordinator, so
-	// workers start from a refilled queue instead of each aging pages.
-	if s.mach.Mem.InactivePages() < target*2 {
-		s.mach.Mem.RefillInactive(target * 2)
+	run := s.cfg.MaxCluster
+	if run < 1 {
+		run = 1
 	}
-	per := (target + workers - 1) / workers
-	var (
-		wg     sync.WaitGroup
-		freedN atomic.Int64
-		subN   atomic.Int64
-	)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*nsh/workers, (w+1)*nsh/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f, sub := s.reclaimRange(lo, hi, per, async)
-			freedN.Add(int64(f))
-			subN.Add(int64(sub))
-			s.ctrPdWorkerRounds.Inc()
-		}()
-	}
-	wg.Wait()
-	return int(freedN.Load()), int(subN.Load())
-}
-
-// reclaimRange runs the second-chance reclaim scan over queue shards
-// [loShard, hiShard): up to four passes of collect-cluster-evict until
-// target pages are freed (or submitted, when async pageout is on). It is
-// the body every reclaim flavour shares — the single daemon, each
-// parallel worker, and the direct-reclaim fallback differ only in their
-// shard range, target and async flag.
-func (s *System) reclaimRange(loShard, hiShard, target int, async bool) (freed, submitted int) {
 	for pass := 0; pass < 4 && freed+submitted < target; pass++ {
 		if s.mach.Mem.InactivePages() < target*2 {
 			s.mach.Mem.RefillInactive(target * 2)
 		}
-		var cluster []*phys.Page
-		// vnWb collects dirty vnode pages for the object writeback
-		// pipeline (async rounds only): per-object, submitted as
-		// contiguous-index cluster writes after the scan. vnWbOrder
-		// remembers first-touch order so flights are submitted in the
-		// deterministic order the queue scan discovered the objects —
-		// submission order decides the async writer's disk-head path.
-		var vnWb map[*uobject][]*phys.Page
-		var vnWbOrder []*uobject
-		vnAsync := async && s.pd != nil && !s.cfg.DisableClustering
-		vnPages := 0
-		held := make(ownerSet)
-		s.mach.Mem.ScanInactiveRange(loShard, hiShard, target*4, func(pg *phys.Page) bool {
-			if freed+submitted+len(cluster)+vnPages >= target {
-				return false
-			}
-			if pg.Referenced.Load() {
-				// Second chance — but only if the page is still inactive;
-				// it may have been freed (and even reallocated) since the
-				// queue snapshot.
-				s.mach.Mem.ActivateIfInactive(pg)
-				return true
-			}
-			owner := pg.Owner()
-			proceed, acquired := held.tryAcquire(owner)
-			if !proceed {
-				return true // owner busy (or gone): skip this page
-			}
-			release := func() {
-				if acquired {
-					releaseOwner(owner)
+		var snap []*phys.Page
+		s.mach.Mem.ScanInactive(target*4, func(pg *phys.Page) bool {
+			snap = append(snap, pg)
+			return true
+		})
+		if len(snap) == 0 {
+			break
+		}
+		want := target - freed - submitted
+		var (
+			wg      sync.WaitGroup
+			next    atomic.Int64
+			freedN  atomic.Int64
+			subN    atomic.Int64
+			stalled atomic.Bool
+		)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stalled.Load() {
+					left := want - int(freedN.Load()+subN.Load())
+					lo := int(next.Add(int64(run))) - run
+					if left <= 0 || lo >= len(snap) {
+						break
+					}
+					chunk := snap[lo:min(lo+run, len(snap))]
+					f, sub, ok := s.reclaimPass(func(fn func(*phys.Page) bool) {
+						for _, pg := range chunk {
+							if !fn(pg) {
+								return
+							}
+						}
+					}, left, async)
+					freedN.Add(int64(f))
+					subN.Add(int64(sub))
+					if !ok {
+						stalled.Store(true)
+					}
 				}
+				s.ctrPdWorkerRounds.Inc()
+			}()
+		}
+		wg.Wait()
+		freed += int(freedN.Load())
+		submitted += int(subN.Load())
+		if stalled.Load() {
+			break
+		}
+	}
+	if freed > 0 {
+		s.mach.Stats.Add(sim.CtrPdFreed, int64(freed))
+	}
+	return freed, submitted
+}
+
+// reclaimScan runs the second-chance reclaim scan over the whole
+// inactive queue: up to four passes of collect-cluster-evict until
+// target pages are freed (or submitted, when async pageout is on). The
+// single daemon and the direct-reclaim fallback differ only in their
+// target and async flag.
+func (s *System) reclaimScan(target int, async bool) (freed, submitted int) {
+	for pass := 0; pass < 4 && freed+submitted < target; pass++ {
+		if s.mach.Mem.InactivePages() < target*2 {
+			s.mach.Mem.RefillInactive(target * 2)
+		}
+		f, sub, ok := s.reclaimPass(func(fn func(*phys.Page) bool) {
+			s.mach.Mem.ScanInactive(target*4, fn)
+		}, target-freed-submitted, async)
+		freed += f
+		submitted += sub
+		if !ok {
+			break
+		}
+	}
+	if freed > 0 {
+		s.mach.Stats.Add(sim.CtrPdFreed, int64(freed))
+	}
+	return freed, submitted
+}
+
+// reclaimPass is one collect-cluster-evict pass, the body every reclaim
+// flavour shares: it visits the candidate pages scan produces until want
+// pages are freed or submitted, evicting clean pages, collecting dirty
+// anonymous pages into one pageout cluster and dirty vnode pages into
+// per-object writeback flights, and then writes them out. ok is false
+// when the cluster could not be written (e.g. swap exhausted): its pages
+// are back on the queues and the caller should stop trying.
+func (s *System) reclaimPass(scan func(func(*phys.Page) bool), want int, async bool) (freed, submitted int, ok bool) {
+	var cluster []*phys.Page
+	// vnWb collects dirty vnode pages for the object writeback
+	// pipeline (async rounds only): per-object, submitted as
+	// contiguous-index cluster writes after the scan. vnWbOrder
+	// remembers first-touch order so flights are submitted in the
+	// deterministic order the queue scan discovered the objects —
+	// submission order decides the async writer's disk-head path.
+	var vnWb map[*uobject][]*phys.Page
+	var vnWbOrder []*uobject
+	vnAsync := async && s.pd != nil && !s.cfg.DisableClustering
+	vnPages := 0
+	held := make(ownerSet)
+	scan(func(pg *phys.Page) bool {
+		if freed+submitted+len(cluster)+vnPages >= want {
+			return false
+		}
+		if pg.Referenced.Load() {
+			// Second chance — but only if the page is still inactive;
+			// it may have been freed (and even reallocated) since the
+			// queue snapshot.
+			s.mach.Mem.ActivateIfInactive(pg)
+			return true
+		}
+		owner := pg.Owner()
+		proceed, acquired := held.tryAcquire(owner)
+		if !proceed {
+			return true // owner busy (or gone): skip this page
+		}
+		release := func() {
+			if acquired {
+				releaseOwner(owner)
 			}
-			// Re-verify under the owner lock: the frame must still belong
-			// to this owner and still be evictable.
-			if pg.Owner() != owner || pg.Busy.Load() || pg.Wired() || pg.Loaned() {
+		}
+		// Re-verify under the owner lock: the frame must still belong
+		// to this owner and still be evictable.
+		if pg.Owner() != owner || pg.Busy.Load() || pg.Wired() || pg.Loaned() {
+			release()
+			return true
+		}
+		switch o := owner.(type) {
+		case *anon:
+			if o.page != pg {
 				release()
 				return true
 			}
-			switch o := owner.(type) {
-			case *anon:
-				if o.page != pg {
+			s.mach.MMU.PageProtect(pg, param.ProtNone)
+			if pg.Dirty.Load() {
+				if len(cluster) < s.cfg.MaxCluster {
+					pg.Busy.Store(true)
+					s.mach.Mem.Dequeue(pg)
+					cluster = append(cluster, pg)
+					held.keep(owner)
+				} else {
 					release()
-					return true
 				}
-				s.mach.MMU.PageProtect(pg, param.ProtNone)
+				return true
+			}
+			// Clean anon page: the swap copy is current; just free.
+			o.page = nil
+			s.mach.Mem.Dequeue(pg)
+			s.mach.Mem.Free(pg)
+			freed++
+			release()
+		case *uobject:
+			idx := param.OffToPage(pg.Off())
+			if o.pages[idx] != pg {
+				release()
+				return true
+			}
+			s.mach.MMU.PageProtect(pg, param.ProtNone)
+			if o.aobjSlots != nil {
+				// Anonymous object pages cluster exactly like anons.
 				if pg.Dirty.Load() {
 					if len(cluster) < s.cfg.MaxCluster {
 						pg.Busy.Store(true)
@@ -540,122 +630,92 @@ func (s *System) reclaimRange(loShard, hiShard, target int, async bool) (freed, 
 					}
 					return true
 				}
-				// Clean anon page: the swap copy is current; just free.
-				o.page = nil
-				s.mach.Mem.Dequeue(pg)
-				s.mach.Mem.Free(pg)
-				freed++
-				release()
-			case *uobject:
-				idx := param.OffToPage(pg.Off())
-				if o.pages[idx] != pg {
-					release()
-					return true
-				}
-				s.mach.MMU.PageProtect(pg, param.ProtNone)
-				if o.aobjSlots != nil {
-					// Anonymous object pages cluster exactly like anons.
-					if pg.Dirty.Load() {
-						if len(cluster) < s.cfg.MaxCluster {
-							pg.Busy.Store(true)
-							s.mach.Mem.Dequeue(pg)
-							cluster = append(cluster, pg)
-							held.keep(owner)
-						} else {
-							release()
-						}
-						return true
-					}
-					delete(o.pages, idx)
-					s.mach.Mem.Dequeue(pg)
-					s.mach.Mem.Free(pg)
-					freed++
-					release()
-					return true
-				}
-				// Vnode page: clean pages are free to drop; dirty ones are
-				// written back through the pager — asynchronously, batched
-				// per object, when the round runs the writeback pipeline.
-				// Dirty pages past EOF (zero-filled mappings beyond the
-				// file) have nowhere to go and would poison their run, so
-				// they stay on the synchronous path, which fails and
-				// reactivates just that page.
-				if pg.Dirty.Load() {
-					if vnAsync && idx < o.vnode.NumPages() {
-						pg.Busy.Store(true)
-						s.mach.Mem.Dequeue(pg)
-						if vnWb == nil {
-							vnWb = make(map[*uobject][]*phys.Page)
-						}
-						if _, ok := vnWb[o]; !ok {
-							vnWbOrder = append(vnWbOrder, o)
-						}
-						vnWb[o] = append(vnWb[o], pg)
-						vnPages++
-						held.keep(owner)
-						return true
-					}
-					if err := o.ops.put(o, pg); err != nil {
-						s.mach.Mem.Activate(pg)
-						release()
-						return true
-					}
-				}
 				delete(o.pages, idx)
 				s.mach.Mem.Dequeue(pg)
 				s.mach.Mem.Free(pg)
 				freed++
 				release()
-			default:
-				// Ownerless (orphaned loan) or foreign page: skip.
-				release()
+				return true
 			}
-			return true
-		})
-
-		// Vnode writeback flights leave first: each object's lock — and
-		// the duty to detach and free its pages — is handed to its
-		// flight's last completion, so the object is removed from `held`
-		// here (the anon cluster below hands over whatever remains).
-		for _, o := range vnWbOrder {
-			delete(held, o)
-			submitted += s.submitVnodeFlight(o, vnWb[o])
-		}
-
-		if len(cluster) > 0 {
-			asyncN := 0
-			if async {
-				asyncN = s.clusterPageoutAsync(cluster, held)
-			}
-			if asyncN > 0 {
-				// The cluster, its held owners, and the duty to free the
-				// pages all travel with the in-flight write; scan on with
-				// a fresh owner set.
-				submitted += asyncN
-				held = make(ownerSet)
-			} else {
-				n, err := s.clusterPageout(cluster)
-				freed += n
-				if err != nil {
-					// Could not clean (e.g. swap exhausted): put the
-					// unwritten pages back on the queues and stop trying.
-					for _, pg := range cluster {
-						if pg.Busy.Load() {
-							pg.Busy.Store(false)
-							s.mach.Mem.Activate(pg)
-						}
+			// Vnode page: clean pages are free to drop; dirty ones are
+			// written back through the pager — asynchronously, batched
+			// per object, when the round runs the writeback pipeline.
+			// Dirty pages past EOF (zero-filled mappings beyond the
+			// file) have nowhere to go and would poison their run, so
+			// they stay on the synchronous path, which fails and
+			// reactivates just that page.
+			if pg.Dirty.Load() {
+				if vnAsync && idx < o.vnode.NumPages() {
+					pg.Busy.Store(true)
+					s.mach.Mem.Dequeue(pg)
+					if vnWb == nil {
+						vnWb = make(map[*uobject][]*phys.Page)
 					}
-					held.releaseAll()
-					break
+					if _, ok := vnWb[o]; !ok {
+						vnWbOrder = append(vnWbOrder, o)
+					}
+					vnWb[o] = append(vnWb[o], pg)
+					vnPages++
+					held.keep(owner)
+					return true
+				}
+				if err := o.ops.put(o, pg); err != nil {
+					s.mach.Mem.Activate(pg)
+					release()
+					return true
 				}
 			}
+			delete(o.pages, idx)
+			s.mach.Mem.Dequeue(pg)
+			s.mach.Mem.Free(pg)
+			freed++
+			release()
+		default:
+			// Ownerless (orphaned loan) or foreign page: skip.
+			release()
 		}
-		held.releaseAll()
+		return true
+	})
+
+	// Vnode writeback flights leave first: each object's lock — and
+	// the duty to detach and free its pages — is handed to its
+	// flight's last completion, so the object is removed from `held`
+	// here (the anon cluster below hands over whatever remains).
+	for _, o := range vnWbOrder {
+		delete(held, o)
+		submitted += s.submitVnodeFlight(o, vnWb[o])
 	}
-	if freed > 0 {
-		s.mach.Stats.Add(sim.CtrPdFreed, int64(freed))
+
+	if len(cluster) > 0 {
+		asyncN := 0
+		if async {
+			asyncN = s.clusterPageoutAsync(cluster, held)
+		}
+		if asyncN > 0 {
+			// The cluster, its held owners, and the duty to free the
+			// pages all travel with the in-flight write; scan on with
+			// a fresh owner set.
+			submitted += asyncN
+			held = make(ownerSet)
+		} else {
+			n, err := s.clusterPageout(cluster)
+			freed += n
+			if err != nil {
+				// Could not clean (e.g. swap exhausted): put the
+				// unwritten pages back on the queues and stop trying.
+				for _, pg := range cluster {
+					if pg.Busy.Load() {
+						pg.Busy.Store(false)
+						s.mach.Mem.Activate(pg)
+					}
+				}
+				held.releaseAll()
+				return freed, submitted, false
+			}
+		}
 	}
-	return freed, submitted
+	held.releaseAll()
+	return freed, submitted, true
 }
 
 // clusterPageoutAsync submits the collected dirty cluster as an

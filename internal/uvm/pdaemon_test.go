@@ -190,7 +190,16 @@ func TestInlineReclaimAblation(t *testing.T) {
 // direct-reclaim fallbacks overlap. Run with -race; data integrity is
 // verified per worker.
 func TestDaemonAndDirectReclaimConcurrently(t *testing.T) {
-	m := testMachine(96)
+	// The workers' data (8×64 pages) must fit in RAM plus swap: with
+	// testMachine's 4×RAM swap (96+384 < 512) every run in which all
+	// workers reach full footprint before one exits is a genuine
+	// out-of-swap ErrDeadlock, not a reclaim bug.
+	m := vmapi.NewMachine(vmapi.MachineConfig{
+		RAMPages:  96,
+		SwapPages: 1024,
+		FSPages:   4096,
+		MaxVnodes: 50,
+	})
 	cfg := DefaultConfig()
 	cfg.ReclaimBatch = 16
 	cfg.MaxCluster = 8
@@ -260,8 +269,8 @@ func TestLowWaterAutoSizing(t *testing.T) {
 		cfg.LowWater = c.explicit
 		s := BootConfig(m, cfg)
 		testutil.SweepOnCleanup(t, s)
-		if s.pd.lowMark() != c.want {
-			t.Errorf("ram=%d explicit=%d: low=%d, want %d", c.ram, c.explicit, s.pd.lowMark(), c.want)
+		if s.pd.low != c.want {
+			t.Errorf("ram=%d explicit=%d: low=%d, want %d", c.ram, c.explicit, s.pd.low, c.want)
 		}
 		s.Shutdown()
 	}

@@ -461,7 +461,6 @@ func (p *Process) Access(addr param.VAddr, write bool) error {
 		access = param.ProtWrite
 	}
 	s := p.sys
-	s.tunerTick() // the fault/touch entry is the control plane's clock source
 	if pte, ok := p.pm.Extract(addr); ok && pte.Prot.Allows(access) {
 		s.mach.Clock.Advance(s.mach.Costs.PageTouch)
 		pte.Page.Referenced.Store(true)
@@ -497,10 +496,11 @@ func (p *Process) WriteBytes(addr param.VAddr, data []byte) error {
 // copyBytes is the copyin/copyout path. Each page-sized chunk is copied
 // under the page owner's lock, after re-verifying that the page is still
 // mapped at the faulted address *with the needed protection* — the
-// pagedaemon may evict the page between the fault and the copy, and a
-// concurrent fork or loanout may write-protect it (a write must then
-// refault so the COW machinery runs instead of scribbling on the now
-// shared frame).
+// pagedaemon may evict the page between the fault and the copy (even
+// before the first lookup), and a concurrent fork or loanout may
+// write-protect it (a write must then refault so the COW machinery runs
+// instead of scribbling on the now shared frame). Every such miss
+// refaults and retries; only a run of misses on one page is ErrFault.
 func (p *Process) copyBytes(addr param.VAddr, buf []byte, write bool) error {
 	need := param.ProtRead
 	if write {
@@ -517,23 +517,23 @@ func (p *Process) copyBytes(addr param.VAddr, buf []byte, write bool) error {
 		if err := p.Access(va, write); err != nil {
 			return err
 		}
-		pte, ok := p.pm.Lookup(va)
-		if !ok || pte.Page == nil {
-			return vmapi.ErrFault
+		if gate := p.sys.copyGate; gate != nil {
+			gate()
 		}
-		pg := pte.Page
 		copied := false
-		release, ok := p.sys.lockPageOwner(pg)
-		if ok {
-			if pte2, still := p.pm.Lookup(va); still && pte2.Page == pg && pte2.Prot.Allows(need) {
-				if write {
-					copy(pg.Data[pageOff:pageOff+n], buf[done:done+n])
-				} else {
-					copy(buf[done:done+n], pg.Data[pageOff:pageOff+n])
+		if pte, ok := p.pm.Lookup(va); ok && pte.Page != nil {
+			pg := pte.Page
+			if release, ok := p.sys.lockPageOwner(pg); ok {
+				if pte2, still := p.pm.Lookup(va); still && pte2.Page == pg && pte2.Prot.Allows(need) {
+					if write {
+						copy(pg.Data[pageOff:pageOff+n], buf[done:done+n])
+					} else {
+						copy(buf[done:done+n], pg.Data[pageOff:pageOff+n])
+					}
+					copied = true
 				}
-				copied = true
+				release()
 			}
-			release()
 		}
 		if !copied {
 			if attempts++; attempts > 16 {

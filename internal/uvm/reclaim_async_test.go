@@ -1,6 +1,7 @@
 package uvm
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -130,7 +131,7 @@ func TestAsyncCompletionRacesShutdown(t *testing.T) {
 
 // TestReclaimWorkersRaceAllocators runs the parallel-worker daemon
 // against concurrently allocating and unmapping processes under -race:
-// workers scan disjoint queue-shard ranges while allocators fault, so
+// workers reclaim disjoint inactive-queue runs while allocators fault, so
 // every TryLock/re-verify path in the scan gets exercised.
 func TestReclaimWorkersRaceAllocators(t *testing.T) {
 	m := vmapi.NewMachine(vmapi.MachineConfig{
@@ -237,4 +238,57 @@ func TestPageinClusterMatchesSingleSlotData(t *testing.T) {
 	}
 	run(0) // single-slot baseline; sweepPattern asserts the data
 	run(8) // clustered; sweepPattern asserts the data
+}
+
+// TestCopyBytesRefaultsAfterEviction covers the copyin/copyout window
+// deterministically: via the copyGate test hook, the page that
+// p.Access just made resident is paged out before copyBytes looks it
+// up. The miss must send copyBytes back through the refault loop — the
+// page comes back from swap and the copy lands — never surface as a
+// spurious ErrFault on a validly mapped address.
+func TestCopyBytesRefaultsAfterEviction(t *testing.T) {
+	s, m := bootTest(t, 256)
+	p := newProc(t, s, "copier")
+	va, err := p.Mmap(0, param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evictions := 0
+	evictOnce := func() {
+		pte, ok := p.pm.Lookup(va)
+		if !ok {
+			t.Fatal("page not mapped right after the fault")
+		}
+		pte.Page.Referenced.Store(false)
+		m.Mem.Deactivate(pte.Page)
+		if s.reclaimCount(1) == 0 {
+			t.Fatal("could not page the faulted page out")
+		}
+		if _, still := p.pm.Lookup(va); still {
+			t.Fatal("page still mapped after pageout")
+		}
+		evictions++
+		s.copyGate = nil
+	}
+	defer func() { s.copyGate = nil }()
+
+	pattern := []byte{0xC0, 0xFF, 0xEE}
+	s.copyGate = evictOnce
+	if err := p.WriteBytes(va+8, pattern); err != nil {
+		t.Fatalf("WriteBytes with the page evicted after its fault: %v", err)
+	}
+	got := make([]byte, len(pattern))
+	s.copyGate = evictOnce
+	if err := p.ReadBytes(va+8, got); err != nil {
+		t.Fatalf("ReadBytes with the page evicted after its fault: %v", err)
+	}
+	if evictions != 2 {
+		t.Fatalf("gate evicted %d times, want 2", evictions)
+	}
+	if !bytes.Equal(got, pattern) {
+		t.Fatalf("read back %x, want %x", got, pattern)
+	}
+	if m.Stats.Get("uvm.anon.pagein") != 2 {
+		t.Errorf("anon pageins = %d, want 2: each refault must come back from swap", m.Stats.Get("uvm.anon.pagein"))
+	}
 }

@@ -56,16 +56,11 @@
 // so reclaim's TryLock-and-skip protocol keeps those pages live until
 // they are mapped.
 //
-// The phys leaf likewise has internal structure when the per-CPU
-// free-page caches are enabled (phys.Mem.SetAllocCaches): a magazine
-// lock sits above the page-queue shard locks — refill, drain and reap
-// take shard locks while holding one magazine — and sibling magazines
-// are only ever TryLocked (the pool-dry steal path), so magazines can
-// never form a blocking cycle among themselves. Nothing in phys
-// acquires VM-layer locks, so the phys-internal ordering is invisible
-// to the map -> object -> amap -> anon hierarchy above; completion
-// callbacks and reclaim may free or allocate pages (touching magazines
-// and shards) under the same rules as before.
+// The phys leaf is one level: the page-queue shard locks, which are
+// strict leaves (allocation, free and queue moves take exactly one;
+// only the pagedaemon's RefillInactive takes them all, in index order).
+// Completion callbacks and reclaim may free or allocate pages under the
+// same rules as any other path.
 //
 // # Pageout
 //
@@ -96,8 +91,8 @@
 // amap, and never blocks on a TryLock-only path, so it cannot deadlock
 // against faults, reclaim workers, or Shutdown. With cfg.ReclaimWorkers
 // > 1 the daemon dispatches that many workers per round over disjoint
-// page-queue shard ranges; the daemon itself remains the only
-// watermark/round coordinator.
+// runs of one inactive-queue snapshot; the daemon itself remains the
+// only watermark/round coordinator.
 //
 // # Object writeback
 //
@@ -172,9 +167,11 @@ type Config struct {
 	// swap.DefaultAIOWindow.
 	PageoutWindow int
 	// ReclaimWorkers is the number of parallel reclaim workers the
-	// daemon dispatches per round, each scanning a disjoint range of the
-	// sharded page queues. 0 or 1 keeps the classic single scan, whose
-	// operation order is byte-deterministic on single-threaded runs.
+	// daemon dispatches per round. The workers claim consecutive
+	// MaxCluster-page runs of one LRU-ordered inactive-queue snapshot,
+	// so their clusters keep the single scan's swap layout. 0 or 1 keeps
+	// the classic single scan, whose operation order is
+	// byte-deterministic on single-threaded runs.
 	ReclaimWorkers int
 	// PageinCluster is the largest clustered-pagein window, in pages: on
 	// a swap-backed anon fault, up to this many adjacent allocated slots
@@ -200,16 +197,6 @@ type Config struct {
 	// WritebackCluster caps pages per object writeback I/O. 0 means
 	// MaxCluster.
 	WritebackCluster int
-	// AutoTune engages the feedback control plane (internal/control,
-	// autotune.go): the pageout/writeback windows, pagein cluster,
-	// lookahead and pagedaemon watermarks become live settings steered by
-	// observed completion latency, hit rates and allocation stalls, and a
-	// periodic syncer trickles dirty object pages through the writeback
-	// engine. Requires the asynchronous pagedaemon (no effect with
-	// InlineReclaim). Off — the default — every knob stays exactly at its
-	// configured static value and runs remain byte-deterministic;
-	// vmapi.MachineConfig.AutoTune also sets this at boot.
-	AutoTune bool
 }
 
 // DefaultConfig returns UVM's standard tuning.
@@ -228,14 +215,6 @@ type System struct {
 
 	// pd is the asynchronous pagedaemon (nil with cfg.InlineReclaim).
 	pd *pagedaemon
-
-	// tuner is the feedback control plane (nil unless AutoTune; see
-	// autotune.go). The knobs it steers live here as atomics — always
-	// initialised from cfg, so with the tuner off every read returns the
-	// static configured value and behaviour is unchanged.
-	tuner          *autotuner
-	pageinClusterA atomic.Int32
-	lookaheadA     atomic.Int32 // extra read-ahead pages over the advice baseline
 
 	kmap      *vmMap
 	kentryUse atomic.Int32
@@ -269,6 +248,11 @@ type System struct {
 	// locks held. Test hook: the lookahead-vs-reclaim race test uses it
 	// to run a reclaim pass inside the batching window.
 	lookaheadGate func()
+
+	// copyGate, when non-nil, runs in copyBytes between the fault that
+	// makes a page resident and the lookup that finds it. Test hook: the
+	// copyin/copyout eviction test pages the frame out in that window.
+	copyGate func()
 
 	// msyncGate, when non-nil, runs after an asynchronous flush has
 	// submitted its clusters (object lock released, pages busy, I/O in
@@ -311,7 +295,6 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 	s.ctrUbcReads = m.Stats.Counter("uvm.ubc.reads")
 	s.ctrUbcWrites = m.Stats.Counter("uvm.ubc.writes")
 	s.wbCond = sync.NewCond(&s.wbMu)
-	s.pageinClusterA.Store(int32(cfg.PageinCluster))
 	if cfg.AsyncWriteback && cfg.WritebackWindow > 0 {
 		m.FS.SetWriteWindow(cfg.WritebackWindow)
 	}
@@ -334,30 +317,10 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 			m.Swap.SetAIOWindow(cfg.PageoutWindow)
 		}
 		s.pd = newPagedaemon(s, s.lowWater())
-		m.Mem.SetLowWater(s.pd.lowMark(), s.pd.kick)
+		m.Mem.SetLowWater(s.pd.low, s.pd.kick)
 		go s.pd.run()
-		if cfg.AutoTune || m.AutoTune {
-			s.startAutotune()
-		}
 	}
 	return s
-}
-
-// pageinWindow reads the live clustered-pagein window (cfg.PageinCluster
-// unless the control plane has moved it).
-func (s *System) pageinWindow() int { return int(s.pageinClusterA.Load()) }
-
-// lookaheadBoost reads the control plane's extra read-ahead pages (0
-// unless autotuning).
-func (s *System) lookaheadBoost() int { return int(s.lookaheadA.Load()) }
-
-// tunerTick gives the control plane a chance to advance an epoch. Called
-// from completion paths and the fault entry with no VM locks held; a
-// single nil check when autotuning is off.
-func (s *System) tunerTick() {
-	if t := s.tuner; t != nil {
-		t.tick()
-	}
 }
 
 // lowWater sizes the pagedaemon's wake threshold for this machine.
@@ -386,12 +349,6 @@ func (s *System) lowWater() int {
 // remains usable — reclaim falls back to running inline in allocating
 // goroutines — so shutdown order is forgiving. Idempotent.
 func (s *System) Shutdown() {
-	if s.tuner != nil {
-		// Stop the syncer before the drains below: it submits new
-		// writeback I/O, so it must be quiescent before Drain's "nothing
-		// in flight" means anything.
-		s.tuner.stop()
-	}
 	if s.pd != nil {
 		s.pd.stop()
 		s.mach.Swap.DrainAsync()

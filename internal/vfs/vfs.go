@@ -226,35 +226,13 @@ func (fs *FS) writer() *disk.AsyncWriter {
 }
 
 // SetWriteWindow sets the in-flight window for asynchronous vnode write
-// clusters; n <= 0 keeps disk.DefaultAIOWindow. The change is live: an
-// already-created writer is resized immediately — writes admitted under
-// an old, larger window complete and drain normally, new submissions
-// wait for the in-flight count to fall under the new bound. Safe to call
-// at any time, concurrently with WriteClusterAsync (the control plane
-// resizes the window from observed completion latency).
+// clusters; n <= 0 keeps disk.DefaultAIOWindow. It is a boot-time
+// setting: the filesystem's writer takes the window when it is created,
+// on the first asynchronous write, so the call must come before any.
 func (fs *FS) SetWriteWindow(n int) {
 	fs.awMu.Lock()
 	fs.awWindow = n
-	aw := fs.aw
 	fs.awMu.Unlock()
-	if aw != nil {
-		aw.SetWindow(n)
-	}
-}
-
-// WriteWindow returns the current in-flight window for asynchronous
-// vnode write clusters (test/debug helper).
-func (fs *FS) WriteWindow() int {
-	fs.awMu.Lock()
-	aw, win := fs.aw, fs.awWindow
-	fs.awMu.Unlock()
-	if aw != nil {
-		return aw.Window()
-	}
-	if win <= 0 {
-		return disk.DefaultAIOWindow
-	}
-	return win
 }
 
 // DrainWrites blocks until every asynchronous vnode cluster write

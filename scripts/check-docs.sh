@@ -10,10 +10,9 @@
 #      types, vars and consts without a doc comment) in internal/swap,
 #      internal/uvm, internal/pmap, internal/phys, internal/disk,
 #      internal/vfs, internal/workload, internal/experiments,
-#      internal/histogram, internal/control and internal/analysis — the
-#      subsystems whose documentation this repo commits to keeping
-#      current. Members of grouped const/var blocks are outside the
-#      check's scope.
+#      internal/histogram and internal/analysis — the subsystems whose
+#      documentation this repo commits to keeping current. Members of
+#      grouped const/var blocks are outside the check's scope.
 #   4. drift between the lock hierarchy declared in
 #      internal/analysis/levels.go and the level table documented in
 #      docs/analysis.md (names and order must match exactly).
@@ -52,7 +51,7 @@ done
 for f in internal/swap/*.go internal/uvm/*.go internal/pmap/*.go \
          internal/phys/*.go internal/disk/*.go internal/vfs/*.go \
          internal/workload/*.go internal/experiments/*.go \
-         internal/histogram/*.go internal/control/*.go \
+         internal/histogram/*.go \
          internal/analysis/*.go; do
   case "$f" in *_test.go) continue ;; esac
   if ! awk -v file="$f" '
