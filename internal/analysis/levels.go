@@ -32,9 +32,8 @@ var Levels = []string{
 	"pageq",     // phys page-queue shards
 	"swapreg",   // Swap.mu — device registry (AddDevice only)
 	"swap",      // swap allocator shard locks
-	"swapaio",   // swap-wide async-write window bookkeeping
+	"swapaio",   // swap-wide async-write in-flight count
 	"vfs",       // FS.mu — vnode cache and file table
-	"vfsaw",     // FS.awMu — filesystem async-writer creation
 	"diskhead",  // disk.AsyncWriter.io — one transfer head per disk
 	"diskaio",   // disk.AsyncWriter.mu — window admission/completion state
 	"disk",      // Disk.mu — the device itself

@@ -598,13 +598,18 @@ func (p *process) Access(addr param.VAddr, write bool) error {
 	if p.exited {
 		return vmapi.ErrExited
 	}
+	p.sys.big.Lock()
+	defer p.sys.big.Unlock()
+	return p.accessLocked(addr, write)
+}
+
+// accessLocked is Access with the big lock held.
+func (p *process) accessLocked(addr param.VAddr, write bool) error {
 	access := param.ProtRead
 	if write {
 		access = param.ProtWrite
 	}
 	s := p.sys
-	s.big.Lock()
-	defer s.big.Unlock()
 	if pte, ok := p.pm.Extract(addr); ok && pte.Prot.Allows(access) {
 		s.mach.Clock.Advance(s.mach.Costs.PageTouch)
 		pte.Page.Referenced.Store(true)
@@ -637,7 +642,15 @@ func (p *process) WriteBytes(addr param.VAddr, data []byte) error {
 	return p.copyBytes(addr, data, true)
 }
 
+// copyBytes faults each page in and copies through it under one hold of
+// the big lock, so no other process can evict or write the page between
+// the fault and the copy.
 func (p *process) copyBytes(addr param.VAddr, buf []byte, write bool) error {
+	if p.exited {
+		return vmapi.ErrExited
+	}
+	p.sys.big.Lock()
+	defer p.sys.big.Unlock()
 	done := 0
 	for done < len(buf) {
 		va := addr + param.VAddr(done)
@@ -646,7 +659,7 @@ func (p *process) copyBytes(addr param.VAddr, buf []byte, write bool) error {
 		if n > len(buf)-done {
 			n = len(buf) - done
 		}
-		if err := p.Access(va, write); err != nil {
+		if err := p.accessLocked(va, write); err != nil {
 			return err
 		}
 		pte, ok := p.pm.Lookup(va)

@@ -21,12 +21,11 @@ import "sync"
 // different submissions may run concurrently and in any order; each
 // callback runs exactly once, off the submitter's goroutine.
 //
-// The window is fixed when the writer is created. Admission and Drain
+// Every writer admits DefaultAIOWindow writes. Admission and Drain
 // share one condvar-gated counter pair: admitted bounds the window,
 // inFlight tracks callbacks that have not yet returned.
 
-// DefaultAIOWindow is the in-flight write window used when a writer is
-// created with a non-positive window.
+// DefaultAIOWindow is the in-flight write window of every writer.
 const DefaultAIOWindow = 4
 
 // AsyncWriter is a bounded in-flight window of asynchronous page writes
@@ -42,28 +41,16 @@ type AsyncWriter struct {
 	//uvm:lock diskaio
 	mu       sync.Mutex
 	cond     *sync.Cond
-	window   int // admission bound, fixed at creation
 	admitted int // writes holding a window slot (released before done)
 	inFlight int // writes submitted whose done callback has not returned
 }
 
-// NewAsyncWriter creates a writer for d admitting window concurrent
-// writes (DefaultAIOWindow if window <= 0).
-func NewAsyncWriter(d *Disk, window int) *AsyncWriter {
-	if window <= 0 {
-		window = DefaultAIOWindow
-	}
-	w := &AsyncWriter{d: d, window: window}
+// NewAsyncWriter creates a writer for d admitting DefaultAIOWindow
+// concurrent writes.
+func NewAsyncWriter(d *Disk) *AsyncWriter {
+	w := &AsyncWriter{d: d}
 	w.cond = sync.NewCond(&w.mu)
 	return w
-}
-
-// InFlight returns the number of writes submitted but not yet completed
-// (their done callback has not returned).
-func (w *AsyncWriter) InFlight() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.inFlight
 }
 
 // Submit queues an asynchronous write of len(bufs) consecutive blocks
@@ -73,7 +60,7 @@ func (w *AsyncWriter) InFlight() int {
 // the buffers as owned by the I/O until then.
 func (w *AsyncWriter) Submit(start int64, bufs [][]byte, done func(error)) {
 	w.mu.Lock()
-	for w.admitted >= w.window {
+	for w.admitted >= DefaultAIOWindow {
 		w.cond.Wait()
 	}
 	w.admitted++

@@ -168,28 +168,7 @@ func (d *Disk) admit(start int64, n int, write bool) (int, error) {
 // pages into their buffers; only those k pages are charged and counted,
 // and the head stops after them.
 func (d *Disk) ReadPages(start int64, bufs [][]byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.checkRange(start, int64(len(bufs))); err != nil {
-		return err
-	}
-	if err := validateBufs(bufs); err != nil {
-		return err
-	}
-	k, err := d.admit(start, len(bufs), false)
-	if err != nil && errors.Is(err, ErrDeviceDead) && k == 0 {
-		// Dead controller: the command never reaches the medium.
-		d.stats.Inc("disk.errors")
-		return err
-	}
-	d.charge(start, k)
-	d.stats.Inc(sim.CtrDiskReads)
-	d.stats.Add(sim.CtrDiskPagesRead, int64(k))
-	d.readBlocks(start, bufs[:k])
-	if err != nil {
-		d.stats.Inc("disk.errors")
-	}
-	return err
+	return d.command(start, bufs, false, false)
 }
 
 // WritePages transfers len(data) consecutive blocks starting at start from
@@ -200,27 +179,7 @@ func (d *Disk) ReadPages(start int64, bufs [][]byte) error {
 // cluster write looks like), only they are charged and counted, and the
 // head stops after them.
 func (d *Disk) WritePages(start int64, data [][]byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.checkRange(start, int64(len(data))); err != nil {
-		return err
-	}
-	if err := validateBufs(data); err != nil {
-		return err
-	}
-	k, err := d.admit(start, len(data), true)
-	if err != nil && errors.Is(err, ErrDeviceDead) && k == 0 {
-		d.stats.Inc("disk.errors")
-		return err
-	}
-	d.charge(start, k)
-	d.stats.Inc(sim.CtrDiskWrites)
-	d.stats.Add(sim.CtrDiskPagesWrite, int64(k))
-	d.writeBlocks(start, data[:k])
-	if err != nil {
-		d.stats.Inc("disk.errors")
-	}
-	return err
+	return d.command(start, data, true, false)
 }
 
 // ReadPagesDeferred reads like ReadPages but charges no time to the
@@ -228,6 +187,23 @@ func (d *Disk) WritePages(start int64, data [][]byte) error {
 // caller's behalf, whose latency is overlapped with the caller's
 // execution. Deferred reads are counted separately in the stats.
 func (d *Disk) ReadPagesDeferred(start int64, bufs [][]byte) error {
+	return d.command(start, bufs, false, true)
+}
+
+// WritePagesDeferred stores data like WritePages but charges no time to
+// the calling context: the transfer is performed "later" by the syncer /
+// buffer-cache flush, whose background time the simulation does not
+// model. Deferred writes are counted separately in the stats.
+func (d *Disk) WritePagesDeferred(start int64, data [][]byte) error {
+	return d.command(start, data, true, true)
+}
+
+// command is the body of every I/O command: range and buffer checks,
+// fault admission, then charging, counting and transferring the k pages
+// admitted. A synchronous command charges the caller's clock and counts
+// its pages; a deferred one charges the disk.deferred_ns ledger and
+// counts only the command.
+func (d *Disk) command(start int64, bufs [][]byte, write, deferred bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.checkRange(start, int64(len(bufs))); err != nil {
@@ -236,41 +212,34 @@ func (d *Disk) ReadPagesDeferred(start int64, bufs [][]byte) error {
 	if err := validateBufs(bufs); err != nil {
 		return err
 	}
-	k, err := d.admit(start, len(bufs), false)
+	k, err := d.admit(start, len(bufs), write)
 	if err != nil && errors.Is(err, ErrDeviceDead) && k == 0 {
+		// Dead controller: the command never reaches the medium.
 		d.stats.Inc("disk.errors")
 		return err
 	}
-	d.stats.Inc("disk.reads.deferred")
-	d.chargeDeferred(start, k)
-	d.readBlocks(start, bufs[:k])
-	if err != nil {
-		d.stats.Inc("disk.errors")
+	switch {
+	case deferred && write:
+		d.stats.Inc(sim.CtrDiskWritesDeferred)
+	case deferred:
+		d.stats.Inc("disk.reads.deferred")
+	case write:
+		d.stats.Inc(sim.CtrDiskWrites)
+		d.stats.Add(sim.CtrDiskPagesWrite, int64(k))
+	default:
+		d.stats.Inc(sim.CtrDiskReads)
+		d.stats.Add(sim.CtrDiskPagesRead, int64(k))
 	}
-	return err
-}
-
-// WritePagesDeferred stores data like WritePages but charges no time to
-// the calling context: the transfer is performed "later" by the syncer /
-// buffer-cache flush, whose background time the simulation does not
-// model. Deferred writes are counted separately in the stats.
-func (d *Disk) WritePagesDeferred(start int64, data [][]byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.checkRange(start, int64(len(data))); err != nil {
-		return err
+	if deferred {
+		d.chargeDeferred(start, k)
+	} else {
+		d.charge(start, k)
 	}
-	if err := validateBufs(data); err != nil {
-		return err
+	if write {
+		d.writeBlocks(start, bufs[:k])
+	} else {
+		d.readBlocks(start, bufs[:k])
 	}
-	k, err := d.admit(start, len(data), true)
-	if err != nil && errors.Is(err, ErrDeviceDead) && k == 0 {
-		d.stats.Inc("disk.errors")
-		return err
-	}
-	d.stats.Inc(sim.CtrDiskWritesDeferred)
-	d.chargeDeferred(start, k)
-	d.writeBlocks(start, data[:k])
 	if err != nil {
 		d.stats.Inc("disk.errors")
 	}

@@ -17,12 +17,27 @@ import (
 	"uvm/internal/bsdvm"
 	"uvm/internal/sim"
 	"uvm/internal/uvm"
-	"uvm/internal/vfs"
 	"uvm/internal/vmapi"
 )
 
-// vnodeAlias keeps experiment signatures compact.
-type vnodeAlias = vfs.Vnode
+// pipelineConfig names one tuning of an I/O pipeline experiment
+// (reclaimbw, objwb). Each named tuning is declared once, in its
+// experiment's config list; the matrix and traffic cells look it up.
+type pipelineConfig struct {
+	Name string
+	Tune func(*uvm.Config)
+}
+
+// tunePipeline applies the tuning named name from cfgs to c.
+func tunePipeline(c *uvm.Config, cfgs []pipelineConfig, name string) error {
+	for _, pc := range cfgs {
+		if pc.Name == name {
+			pc.Tune(c)
+			return nil
+		}
+	}
+	return fmt.Errorf("experiments: unknown pipeline config %q", name)
+}
 
 // profile is the machine profile every experiment machine boots with.
 // Empty — the paper's hdd97 testbed — unless SetProfile was called, so
@@ -120,7 +135,7 @@ func All(quick bool) []Runner {
 		{"pressure", "Pressure: reclaim tail latency, inline vs pagedaemon (beyond the paper)", func(w io.Writer) error {
 			return ReportPressure(w, pressureWorkers(quick), iters(quick, 600, 2500))
 		}},
-		{"reclaimbw", "ReclaimBW: pageout bandwidth, sync vs async vs parallel reclaim (beyond the paper)", func(w io.Writer) error {
+		{"reclaimbw", "ReclaimBW: pageout bandwidth, inline vs async vs parallel reclaim (beyond the paper)", func(w io.Writer) error {
 			return ReportReclaimBW(w, iters(quick, 1500, 6000))
 		}},
 		{"objwb", "ObjWB: object writeback (msync) bandwidth, sync vs async vs clustered (beyond the paper)", func(w io.Writer) error {

@@ -164,17 +164,11 @@ func matrixReclaim(prof string, faults, quick bool, w io.Writer) (int, error) {
 	if faults {
 		plan = MatrixFaultPlan()
 	}
-	tune := func(c *uvm.Config) {
-		c.AsyncPageout = true
-		c.PageoutWindow = 4
-		c.ReclaimWorkers = 4
-		c.PageinCluster = 8
-	}
 	// Each producer must touch more pages than its share of RAM or the
 	// cell never pages out: 4 producers × 700 accesses over 512-page
 	// regions demands 2048 pages of the 1024-page machine.
 	accesses := iters(quick, 700, 1500)
-	pt, leaked, err := ReclaimBWRunOn(prof, plan, "async-4w+pgin", tune, accesses)
+	pt, leaked, err := ReclaimBWRun(prof, plan, "async-4w+pgin", accesses)
 	if err != nil {
 		return leaked, err
 	}
@@ -191,13 +185,8 @@ func matrixReclaim(prof string, faults, quick bool, w io.Writer) (int, error) {
 // matrixObjWB runs the clustered asynchronous object-writeback pipeline
 // (msync rounds over a shared file mapping) on the profile.
 func matrixObjWB(prof string, quick bool, w io.Writer) (int, error) {
-	tune := func(c *uvm.Config) {
-		c.AsyncWriteback = true
-		c.WritebackWindow = 4
-		c.WritebackCluster = 16
-	}
 	rounds := iters(quick, 2, 6)
-	pt, leaked, err := ObjWBRunOn(prof, "async-cluster", "vnode", tune, rounds)
+	pt, leaked, err := ObjWBRun(prof, "async-cluster", "vnode", rounds)
 	if err != nil {
 		return leaked, err
 	}

@@ -57,40 +57,31 @@ const (
 	objWBRAMPages = 2048
 )
 
-// objWBConfig names one tuning of the writeback pipeline.
-type objWBConfig struct {
-	Name string
-	Tune func(*uvm.Config)
-}
-
 // objWBConfigs returns the pipeline stages the experiment contrasts.
-func objWBConfigs() []objWBConfig {
-	return []objWBConfig{
+func objWBConfigs() []pipelineConfig {
+	return []pipelineConfig{
 		{"sync", func(c *uvm.Config) {}},
 		{"async-w4", func(c *uvm.Config) {
 			c.AsyncWriteback = true
-			c.WritebackWindow = 4
 			c.WritebackCluster = 1
 		}},
 		{"async-cluster", func(c *uvm.Config) {
 			c.AsyncWriteback = true
-			c.WritebackWindow = 4
 			c.WritebackCluster = 16
 		}},
 	}
 }
 
-// ObjWBRun measures one configuration on one backend: rounds of
-// dirty-everything then Msync over a region that stays resident.
-func ObjWBRun(cfgName, backend string, tune func(*uvm.Config), rounds int) (ObjWBPoint, error) {
-	pt, _, err := ObjWBRunOn(profile, cfgName, backend, tune, rounds)
-	return pt, err
-}
-
-// ObjWBRunOn is ObjWBRun on a named machine profile. Returns the
-// measurement plus the number of Busy pages leaked (swept after
-// Shutdown; always 0 unless a writeback error path lost a claim).
-func ObjWBRunOn(prof, cfgName, backend string, tune func(*uvm.Config), rounds int) (ObjWBPoint, int, error) {
+// ObjWBRun measures the objWBConfigs stage cfgName on one backend and a
+// named machine profile: rounds of dirty-everything then Msync over a
+// region that stays resident. Returns the measurement plus the number
+// of Busy pages leaked (swept after Shutdown; always 0 unless a
+// writeback error path lost a claim).
+func ObjWBRun(prof, cfgName, backend string, rounds int) (ObjWBPoint, int, error) {
+	cfg := uvm.DefaultConfig()
+	if err := tunePipeline(&cfg, objWBConfigs(), cfgName); err != nil {
+		return ObjWBPoint{}, 0, err
+	}
 	mach := vmapi.NewMachine(vmapi.MachineConfig{
 		RAMPages:  objWBRAMPages,
 		SwapPages: 65536,
@@ -98,8 +89,6 @@ func ObjWBRunOn(prof, cfgName, backend string, tune func(*uvm.Config), rounds in
 		MaxVnodes: 16,
 		Profile:   prof,
 	})
-	cfg := uvm.DefaultConfig()
-	tune(&cfg)
 	sys := uvm.BootConfig(mach, cfg)
 	defer sys.Shutdown()
 
@@ -177,7 +166,7 @@ func ObjWB(rounds int) ([]ObjWBPoint, error) {
 	var points []ObjWBPoint
 	for _, backend := range []string{"vnode", "aobj"} {
 		for _, c := range objWBConfigs() {
-			pt, err := ObjWBRun(c.Name, backend, c.Tune, rounds)
+			pt, _, err := ObjWBRun(profile, c.Name, backend, rounds)
 			if err != nil {
 				return nil, err
 			}

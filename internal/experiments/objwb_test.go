@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"uvm/internal/uvm"
-)
+import "testing"
 
 // TestObjWBRunsOnAllConfigs smoke-tests the driver: every configuration
 // completes the dirty-msync rounds on both backends with real writeback.
@@ -36,15 +32,11 @@ func TestObjWBRunsOnAllConfigs(t *testing.T) {
 // holds on any host, single-core CI included.
 func TestObjWBAsyncBeatsSyncSimBandwidth(t *testing.T) {
 	for _, backend := range []string{"vnode", "aobj"} {
-		syncPt, err := ObjWBRun("sync", backend, func(c *uvm.Config) {}, 4)
+		syncPt, _, err := ObjWBRun(profile, "sync", backend, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		asyncPt, err := ObjWBRun("async-cluster", backend, func(c *uvm.Config) {
-			c.AsyncWriteback = true
-			c.WritebackWindow = 4
-			c.WritebackCluster = 16
-		}, 4)
+		asyncPt, _, err := ObjWBRun(profile, "async-cluster", backend, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

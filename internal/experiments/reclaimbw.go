@@ -18,10 +18,10 @@ import (
 // ReclaimBW measures sustained pageout bandwidth and fault latency under
 // heavy overcommit, contrasting the reclaim I/O pipeline's stages:
 //
-//   - sync-1w: the PR-2 baseline — one pagedaemon that blocks on every
-//     cluster write; reclaim bandwidth is bounded by one synchronous I/O
-//     stream.
-//   - async-1w: asynchronous cluster pageout — the daemon submits each
+//   - inline: the pre-daemon baseline (uvm.Config.InlineReclaim) —
+//     allocating goroutines reclaim and write each cluster synchronously;
+//     reclaim bandwidth is bounded by one synchronous I/O stream.
+//   - async-1w: the shipped default — the pagedaemon submits each
 //     cluster into the per-device in-flight window and overlaps the next
 //     inactive-queue scan with the writes; completions free the pages.
 //   - async-4w: async pageout plus four parallel reclaim workers, each
@@ -30,7 +30,7 @@ import (
 //     swap-backed fault drags adjacent allocated slots in with one I/O.
 //
 // Two bandwidth figures are reported. Simulated bandwidth (pageouts per
-// simulated second) isolates the modelling claim: a synchronous daemon
+// simulated second) isolates the modelling claim: synchronous reclaim
 // charges every cluster's positioning + transfer time to the machine's
 // one virtual clock, while overlapped writes charge nothing to the
 // scanning thread — so async reclaim sustains strictly more pageout per
@@ -67,52 +67,35 @@ const (
 	reclaimBWTurn = 16
 )
 
-// reclaimBWConfig names one tuning of the reclaim pipeline.
-type reclaimBWConfig struct {
-	Name string
-	Tune func(*uvm.Config)
-}
-
 // reclaimBWConfigs returns the pipeline stages the experiment contrasts.
-func reclaimBWConfigs() []reclaimBWConfig {
-	return []reclaimBWConfig{
-		{"sync-1w", func(c *uvm.Config) {}},
-		{"async-1w", func(c *uvm.Config) {
-			c.AsyncPageout = true
-			c.PageoutWindow = 4
-		}},
-		{"async-4w", func(c *uvm.Config) {
-			c.AsyncPageout = true
-			c.PageoutWindow = 4
-			c.ReclaimWorkers = 4
-		}},
+func reclaimBWConfigs() []pipelineConfig {
+	return []pipelineConfig{
+		{"inline", func(c *uvm.Config) { c.InlineReclaim = true }},
+		{"async-1w", func(c *uvm.Config) {}},
+		{"async-4w", func(c *uvm.Config) { c.ReclaimWorkers = 4 }},
 		{"async-4w+pgin", func(c *uvm.Config) {
-			c.AsyncPageout = true
-			c.PageoutWindow = 4
 			c.ReclaimWorkers = 4
 			c.PageinCluster = 8
 		}},
 	}
 }
 
-// ReclaimBWRun measures one configuration: producers cycle write faults
-// over private regions that together overcommit RAM, so every allocation
-// rides on reclaim; per-access wall latency and the machine's pageout
-// counters are collected.
-func ReclaimBWRun(cfgName string, tune func(*uvm.Config), accessesPerProducer int) (ReclaimBWPoint, error) {
-	pt, _, err := ReclaimBWRunOn(profile, nil, cfgName, tune, accessesPerProducer)
-	return pt, err
-}
-
-// ReclaimBWRunOn is ReclaimBWRun on a named machine profile, optionally
-// with a fault plan installed on the swap disk. With a plan, access
-// errors don't abort the run: an injected fault surfacing as a fault
-// error is the behaviour under test, so failed accesses are counted in
-// IOErrors and the producers keep going. Returns the measurement plus
-// the number of Busy pages leaked (swept after Shutdown; always 0
-// unless an error path lost a claim — the matrix fails cells on it).
-func ReclaimBWRunOn(prof string, swapPlan *disk.FaultPlan, cfgName string,
-	tune func(*uvm.Config), accessesPerProducer int) (ReclaimBWPoint, int, error) {
+// ReclaimBWRun measures the reclaimBWConfigs stage cfgName on a named
+// machine profile, optionally with a fault plan installed on the swap
+// disk: producers cycle write faults over private regions that together
+// overcommit RAM, so every allocation rides on reclaim; per-access wall
+// latency and the machine's pageout counters are collected. With a
+// plan, access errors don't abort the run: an injected fault surfacing
+// as a fault error is the behaviour under test, so failed accesses are
+// counted in IOErrors and the producers keep going. Returns the
+// measurement plus the number of Busy pages leaked (swept after
+// Shutdown; always 0 unless an error path lost a claim — the matrix
+// fails cells on it).
+func ReclaimBWRun(prof string, swapPlan *disk.FaultPlan, cfgName string, accessesPerProducer int) (ReclaimBWPoint, int, error) {
+	cfg := uvm.DefaultConfig()
+	if err := tunePipeline(&cfg, reclaimBWConfigs(), cfgName); err != nil {
+		return ReclaimBWPoint{}, 0, err
+	}
 	mach := vmapi.NewMachine(vmapi.MachineConfig{
 		RAMPages:      reclaimBWRAMPages,
 		SwapPages:     65536,
@@ -121,8 +104,6 @@ func ReclaimBWRunOn(prof string, swapPlan *disk.FaultPlan, cfgName string,
 		Profile:       prof,
 		SwapFaultPlan: swapPlan,
 	})
-	cfg := uvm.DefaultConfig()
-	tune(&cfg)
 	sys := uvm.BootConfig(mach, cfg)
 	defer sys.Shutdown()
 
@@ -261,7 +242,7 @@ func ReclaimBWRunOn(prof string, swapPlan *disk.FaultPlan, cfgName string,
 func ReclaimBW(accessesPerProducer int) ([]ReclaimBWPoint, error) {
 	var points []ReclaimBWPoint
 	for _, c := range reclaimBWConfigs() {
-		pt, err := ReclaimBWRun(c.Name, c.Tune, accessesPerProducer)
+		pt, _, err := ReclaimBWRun(profile, nil, c.Name, accessesPerProducer)
 		if err != nil {
 			return nil, err
 		}
@@ -272,7 +253,7 @@ func ReclaimBW(accessesPerProducer int) ([]ReclaimBWPoint, error) {
 
 // ReportReclaimBW renders the bandwidth table.
 func ReportReclaimBW(w io.Writer, accessesPerProducer int) error {
-	header(w, "ReclaimBW: pageout bandwidth, sync vs async vs parallel reclaim")
+	header(w, "ReclaimBW: pageout bandwidth, inline vs async vs parallel reclaim")
 	fmt.Fprintf(w, "GOMAXPROCS=%d NumCPU=%d  RAM=%d pages, %d producers x %d-page regions\n",
 		runtime.GOMAXPROCS(0), runtime.NumCPU(), reclaimBWRAMPages,
 		reclaimBWProducers, reclaimBWRegionPages)
@@ -285,7 +266,7 @@ func ReportReclaimBW(w io.Writer, accessesPerProducer int) error {
 			pt.Config, pt.Pageouts, pt.SimBW, pt.WallBW, pt.P50, pt.P99,
 			pt.AsyncClusters, pt.PageinRides)
 	}
-	fmt.Fprintln(w, "(sync-1w charges every cluster write to the scanning thread's clock; the")
+	fmt.Fprintln(w, "(inline charges every cluster write to the reclaiming thread's clock; the")
 	fmt.Fprintln(w, " async configs overlap those writes with the next scan, so their simulated")
 	fmt.Fprintln(w, " bandwidth is strictly higher. Worker and wall-clock effects need real cores.)")
 	return nil

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"uvm/internal/uvm"
-)
+import "testing"
 
 // TestReclaimBWRunsOnAllConfigs smoke-tests the driver: every pipeline
 // configuration completes the overcommitted workload with real paging.
@@ -29,35 +25,30 @@ func TestReclaimBWRunsOnAllConfigs(t *testing.T) {
 	}
 }
 
-// TestReclaimBWAsyncBeatsSyncSimBandwidth is the PR's headline claim:
-// overlapping cluster writes with the next reclaim scan sustains strictly
-// higher pageout bandwidth than the synchronous single-daemon baseline.
-// The assertion uses *simulated* bandwidth, which is a modelling
-// property — the sync daemon charges every cluster's disk time to the
-// machine clock, the async one overlaps it — and therefore holds on any
-// host, single-core CI included (wall-clock effects of the worker shards
-// are reported but, like the scaling experiment, need real cores).
+// TestReclaimBWAsyncBeatsSyncSimBandwidth is the experiment's headline
+// claim: the pagedaemon's overlapped cluster writes sustain strictly
+// higher pageout bandwidth than the synchronous baseline, inline reclaim
+// (uvm.Config.InlineReclaim), where allocators write each cluster
+// themselves. The assertion uses *simulated* bandwidth, which is a
+// modelling property — synchronous reclaim charges every cluster's disk
+// time to the machine clock, the daemon overlaps it — and therefore
+// holds on any host, single-core CI included (wall-clock effects of the
+// worker shards are reported but, like the scaling experiment, need real
+// cores).
 func TestReclaimBWAsyncBeatsSyncSimBandwidth(t *testing.T) {
-	syncPt, err := ReclaimBWRun("sync-1w", func(c *uvm.Config) {}, 1200)
+	syncPt, _, err := ReclaimBWRun(profile, nil, "inline", 1200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	asyncPt, err := ReclaimBWRun("async-1w", func(c *uvm.Config) {
-		c.AsyncPageout = true
-		c.PageoutWindow = 4
-	}, 1200)
+	asyncPt, _, err := ReclaimBWRun(profile, nil, "async-1w", 1200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multiPt, err := ReclaimBWRun("async-4w", func(c *uvm.Config) {
-		c.AsyncPageout = true
-		c.PageoutWindow = 4
-		c.ReclaimWorkers = 4
-	}, 1200)
+	multiPt, _, err := ReclaimBWRun(profile, nil, "async-4w", 1200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("sim bandwidth: sync-1w %.0f pg/s, async-1w %.0f pg/s, async-4w %.0f pg/s",
+	t.Logf("sim bandwidth: inline %.0f pg/s, async-1w %.0f pg/s, async-4w %.0f pg/s",
 		syncPt.SimBW, asyncPt.SimBW, multiPt.SimBW)
 	if asyncPt.AsyncClusters == 0 {
 		t.Fatalf("async run submitted no async clusters: %+v", asyncPt)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"uvm/internal/param"
+	"uvm/internal/vfs"
 	"uvm/internal/vmapi"
 )
 
@@ -58,7 +59,7 @@ func mapFaultUnmap(sys vmapi.System, c t3case, iters int) (time.Duration, error)
 	if err != nil {
 		return 0, err
 	}
-	var vn *vfsVnode
+	var vn *vfs.Vnode
 	if c.flags&vmapi.MapAnon == 0 {
 		if err := mach.FS.Create("/bench.dat", param.PageSize, func(_ int, b []byte) { b[0] = 1 }); err != nil {
 			return 0, err
@@ -106,9 +107,6 @@ func mapFaultUnmap(sys vmapi.System, c t3case, iters int) (time.Duration, error)
 	}
 	return total / time.Duration(iters), nil
 }
-
-// vfsVnode aliases the vnode type to keep the signature readable.
-type vfsVnode = vnodeAlias
 
 // ReportTable3 renders the table.
 func ReportTable3(w io.Writer, iters int) error {

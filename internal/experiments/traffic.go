@@ -101,13 +101,13 @@ func trafficMachineConfig(prof string, cfg workload.TrafficConfig) vmapi.Machine
 // showed winning, and the one the interference column instruments.
 func trafficUVMBoot(m *vmapi.Machine) vmapi.System {
 	cfg := uvm.DefaultConfig()
-	cfg.AsyncPageout = true
-	cfg.PageoutWindow = 4
-	cfg.ReclaimWorkers = 4
-	cfg.PageinCluster = 8
-	cfg.AsyncWriteback = true
-	cfg.WritebackWindow = 4
-	cfg.WritebackCluster = 16
+	// Both names are declared in this package, so an error is a bug.
+	if err := tunePipeline(&cfg, reclaimBWConfigs(), "async-4w+pgin"); err != nil {
+		panic(err)
+	}
+	if err := tunePipeline(&cfg, objWBConfigs(), "async-cluster"); err != nil {
+		panic(err)
+	}
 	return uvm.BootConfig(m, cfg)
 }
 

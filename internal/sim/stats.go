@@ -155,7 +155,7 @@ const (
 	// device-busy latency of the async write windows.
 	CtrDiskWritesDeferred = "disk.writes.deferred"
 	CtrSwapSlotsLive      = "swap.slots.live"
-	CtrSwapIOs            = "swap.ios"
+	CtrSwapIOs            = "swap.ios" // swap I/O commands, synchronous and asynchronous
 
 	// Asynchronous swap I/O counters (internal/swap/aio.go).
 	CtrSwapAIOWrites      = "swap.aio.writes"       // async cluster writes submitted

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"uvm/internal/disk"
 	"uvm/internal/sim"
 )
 
@@ -19,39 +18,20 @@ import (
 // The window/backpressure machinery itself lives in disk.AsyncWriter —
 // the generalised engine shared with the vfs writeback path — and each
 // swap device owns one writer. This file keeps the swap-wide
-// bookkeeping: the configured window, the aggregate in-flight count that
-// DrainAsync waits on, and the swap.aio.* stats.
+// bookkeeping: the aggregate in-flight count that DrainAsync waits on,
+// and the swap.aio.* stats.
 
-// DefaultAIOWindow is the per-device in-flight cluster-write window used
-// when SetAIOWindow was never called (or asked for 0).
-const DefaultAIOWindow = disk.DefaultAIOWindow
-
-// aio is the Swap-wide async-write bookkeeping: the configured window and
-// the in-flight count Drain waits on.
+// aio is the Swap-wide async-write bookkeeping: the in-flight count
+// Drain waits on.
 type aio struct {
 	//uvm:lock swapaio
 	mu       sync.Mutex
 	cond     *sync.Cond
-	window   int
 	inFlight int
 }
 
 func (a *aio) init() {
 	a.cond = sync.NewCond(&a.mu)
-	a.window = DefaultAIOWindow
-}
-
-// SetAIOWindow sets the per-device in-flight window for asynchronous
-// cluster writes; n <= 0 restores the default. It is a boot-time
-// setting: each device's writer takes the window when it is created, on
-// its first asynchronous write, so the call must come before any.
-func (s *Swap) SetAIOWindow(n int) {
-	if n <= 0 {
-		n = DefaultAIOWindow
-	}
-	s.aio.mu.Lock()
-	s.aio.window = n
-	s.aio.mu.Unlock()
 }
 
 // AIOInFlight returns the number of asynchronous cluster writes currently
@@ -60,17 +40,6 @@ func (s *Swap) AIOInFlight() int {
 	s.aio.mu.Lock()
 	defer s.aio.mu.Unlock()
 	return s.aio.inFlight
-}
-
-// ensureWriter returns d's async writer, creating it with the current
-// window on first use.
-func (s *Swap) ensureWriter(d *device) *disk.AsyncWriter {
-	s.aio.mu.Lock()
-	defer s.aio.mu.Unlock()
-	if d.writer == nil {
-		d.writer = disk.NewAsyncWriter(d.dev, s.aio.window)
-	}
-	return d.writer
 }
 
 // WriteClusterAsync submits a contiguous cluster write and returns as
@@ -85,7 +54,6 @@ func (s *Swap) WriteClusterAsync(start int64, bufs [][]byte, done func(error)) e
 	if start-d.base+int64(len(bufs)) > d.size {
 		return fmt.Errorf("swap: cluster at %d spans devices", start)
 	}
-	w := s.ensureWriter(d)
 
 	// The swap-wide in-flight count rises at submission (before the
 	// window gate, so DrainAsync started concurrently cannot miss us) and
@@ -94,11 +62,12 @@ func (s *Swap) WriteClusterAsync(start int64, bufs [][]byte, done func(error)) e
 	s.aio.inFlight++
 	inFlight := s.aio.inFlight
 	s.aio.mu.Unlock()
+	s.stats.Inc(sim.CtrSwapIOs)
 	s.stats.Inc(sim.CtrSwapAIOWrites)
 	s.stats.Add(sim.CtrSwapAIOPages, int64(len(bufs)))
 	s.stats.Max(sim.CtrSwapAIOInFlightMax, int64(inFlight))
 
-	w.Submit(start-d.base, bufs, func(err error) {
+	d.writer.Submit(start-d.base, bufs, func(err error) {
 		done(err)
 		s.aio.mu.Lock()
 		s.aio.inFlight--

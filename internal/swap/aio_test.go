@@ -70,8 +70,7 @@ func TestWriteClusterAsyncWindow(t *testing.T) {
 	stats := sim.NewStats()
 	dev := disk.New(clock, costs, stats, 1024)
 	s := New(clock, costs, stats, dev)
-	const window = 2
-	s.SetAIOWindow(window)
+	const window = disk.DefaultAIOWindow
 
 	gate := make(chan struct{})
 	dev.FailWrite = func(int64) error { <-gate; return nil }

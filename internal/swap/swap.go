@@ -145,7 +145,7 @@ type device struct {
 	cursor    atomic.Uint64 // round-robin start shard for allocations
 
 	// writer is the device's bounded-window asynchronous write engine
-	// (see aio.go), created lazily with the Swap-wide configured window.
+	// (see aio.go).
 	writer *disk.AsyncWriter
 }
 
@@ -162,7 +162,7 @@ func shardCount(size int64) int {
 
 func newDevice(dev *disk.Disk, priority int, base int64) *device {
 	size := dev.Blocks()
-	d := &device{dev: dev, priority: priority, base: base, size: size}
+	d := &device{dev: dev, priority: priority, base: base, size: size, writer: disk.NewAsyncWriter(dev)}
 	k := shardCount(size)
 	d.shardSize = size / int64(k)
 	for i := 0; i < k; i++ {

@@ -196,10 +196,7 @@ func TestWritebackErrorKeepsPagesDirty(t *testing.T) {
 // leave no Busy claim behind.
 func TestSwapDeviceDeathMidPageout(t *testing.T) {
 	m := testMachine(96)
-	cfg := DefaultConfig()
-	cfg.AsyncPageout = true
-	cfg.PageoutWindow = 2
-	s := BootConfig(m, cfg)
+	s := BootConfig(m, DefaultConfig())
 	testutil.SweepOnCleanup(t, s)
 	// Let a couple of swap commands through, then die. At most
 	// 2×MaxCluster pages escape before death, so a 512-page demand

@@ -444,14 +444,11 @@ func TestVnodeRecycleClusteredWriteback(t *testing.T) {
 }
 
 // TestPdaemonVnodeAsyncPut covers the reclaim flavour of the pipeline:
-// under memory pressure with AsyncPageout, dirty file pages leave
+// under memory pressure, dirty file pages leave
 // through per-object async cluster flights (owner lock handed to the
 // last completion) and every byte survives the round trip.
 func TestPdaemonVnodeAsyncPut(t *testing.T) {
-	s, m := bootWb(t, 128, func(c *Config) {
-		c.AsyncPageout = true
-		c.PageoutWindow = 4
-	})
+	s, m := bootWb(t, 128, nil)
 	vn := mkfile(t, m, "/big", 512, 0)
 	defer vn.Unref()
 	p := newProc(t, s, "p")

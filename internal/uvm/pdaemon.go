@@ -41,9 +41,9 @@ var (
 //     not re-kick: the waiters are told (errPdStalled) and fall back to
 //     reclaiming directly, which tolerates owners locked by the waiting
 //     goroutine itself the same way the daemon does (TryLock + skip).
-//     With async pageout a fruitless round that *does* have clusters on
-//     the wire is not a stall: waiters keep sleeping until a completion
-//     (asyncDone) frees the pages and bumps the generation.
+//     A fruitless round that *does* have clusters on the wire is not a
+//     stall: waiters keep sleeping until a completion (asyncDone) frees
+//     the pages and bumps the generation.
 //
 // Rounds fan out to cfg.ReclaimWorkers parallel workers over disjoint
 // LRU runs of one inactive-queue snapshot (reclaimRound); the daemon
@@ -445,10 +445,9 @@ func (s *System) reclaimCount(target int) int {
 // allocator spreads consecutive frames over the shards — and scatter
 // every producer's pages across the clusters.)
 func (s *System) reclaimRound(target int) (freed, submitted int) {
-	async := s.cfg.AsyncPageout
 	workers := s.cfg.ReclaimWorkers
 	if workers < 2 {
-		return s.reclaimScan(target, async)
+		return s.reclaimScan(target, true)
 	}
 	run := s.cfg.MaxCluster
 	if run < 1 {
@@ -491,7 +490,7 @@ func (s *System) reclaimRound(target int) (freed, submitted int) {
 								return
 							}
 						}
-					}, left, async)
+					}, left, true)
 					freedN.Add(int64(f))
 					subN.Add(int64(sub))
 					if !ok {
@@ -516,9 +515,9 @@ func (s *System) reclaimRound(target int) (freed, submitted int) {
 
 // reclaimScan runs the second-chance reclaim scan over the whole
 // inactive queue: up to four passes of collect-cluster-evict until
-// target pages are freed (or submitted, when async pageout is on). The
-// single daemon and the direct-reclaim fallback differ only in their
-// target and async flag.
+// target pages are freed (or submitted, for the daemon's asynchronous
+// pageout). The single daemon and the direct-reclaim fallback differ
+// only in their target and async flag.
 func (s *System) reclaimScan(target int, async bool) (freed, submitted int) {
 	for pass := 0; pass < 4 && freed+submitted < target; pass++ {
 		if s.mach.Mem.InactivePages() < target*2 {
@@ -543,7 +542,9 @@ func (s *System) reclaimScan(target int, async bool) (freed, submitted int) {
 // flavour shares: it visits the candidate pages scan produces until want
 // pages are freed or submitted, evicting clean pages, collecting dirty
 // anonymous pages into one pageout cluster and dirty vnode pages into
-// per-object writeback flights, and then writes them out. ok is false
+// per-object writeback flights, and then writes them out: through the
+// async write windows in a daemon round (async), synchronously in direct
+// and inline reclaim, whose caller needs a page now. ok is false
 // when the cluster could not be written (e.g. swap exhausted): its pages
 // are back on the queues and the caller should stop trying.
 func (s *System) reclaimPass(scan func(func(*phys.Page) bool), want int, async bool) (freed, submitted int, ok bool) {
@@ -556,7 +557,7 @@ func (s *System) reclaimPass(scan func(func(*phys.Page) bool), want int, async b
 	// submission order decides the async writer's disk-head path.
 	var vnWb map[*uobject][]*phys.Page
 	var vnWbOrder []*uobject
-	vnAsync := async && s.pd != nil && !s.cfg.DisableClustering
+	vnAsync := async && !s.cfg.DisableClustering
 	vnPages := 0
 	held := make(ownerSet)
 	scan(func(pg *phys.Page) bool {
@@ -729,7 +730,7 @@ func (s *System) reclaimPass(scan func(func(*phys.Page) bool), want int, async b
 // device's in-flight window is full, which is the backpressure that
 // stops the scan from running arbitrarily far ahead of the disk.
 func (s *System) clusterPageoutAsync(cluster []*phys.Page, held ownerSet) int {
-	if s.pd == nil || s.cfg.DisableClustering || len(cluster) < 2 {
+	if s.cfg.DisableClustering || len(cluster) < 2 {
 		return 0
 	}
 	start, err := s.mach.Swap.AllocContig(len(cluster))

@@ -256,21 +256,18 @@ func TestDaemonAndDirectReclaimConcurrently(t *testing.T) {
 // TestLowWaterAutoSizing pins the automatic watermark formula.
 func TestLowWaterAutoSizing(t *testing.T) {
 	cases := []struct {
-		ram, explicit, want int
+		ram, want int
 	}{
-		{64, 0, 16},        // tiny machine: clamped to total/4
-		{8192, 0, 128},     // the 32 MB paper machine: 2×MaxCluster
-		{1 << 16, 0, 1024}, // big machine: total/64 dominates
-		{8192, 99, 99},     // explicit override wins
+		{64, 16},        // tiny machine: clamped to total/4
+		{8192, 128},     // the 32 MB paper machine: 2×MaxCluster
+		{1 << 16, 1024}, // big machine: total/64 dominates
 	}
 	for _, c := range cases {
 		m := testMachine(c.ram)
-		cfg := DefaultConfig()
-		cfg.LowWater = c.explicit
-		s := BootConfig(m, cfg)
+		s := BootConfig(m, DefaultConfig())
 		testutil.SweepOnCleanup(t, s)
 		if s.pd.low != c.want {
-			t.Errorf("ram=%d explicit=%d: low=%d, want %d", c.ram, c.explicit, s.pd.low, c.want)
+			t.Errorf("ram=%d: low=%d, want %d", c.ram, s.pd.low, c.want)
 		}
 		s.Shutdown()
 	}

@@ -51,15 +51,12 @@ func sweepPattern(t *testing.T, p *Process, va param.VAddr, pages int) {
 	}
 }
 
-// TestAsyncPageoutRoundTrip overcommits a small machine with async
-// cluster pageout enabled and verifies every page survives the trip out
+// TestAsyncClusterPageoutRoundTrip overcommits a small machine, so the daemon
+// pages out with async cluster writes, and verifies every page survives the trip out
 // and back — pageout completions run on swap I/O goroutines while the
 // workload keeps faulting.
-func TestAsyncPageoutRoundTrip(t *testing.T) {
-	s, m := bootPipeline(t, 128, func(c *Config) {
-		c.AsyncPageout = true
-		c.PageoutWindow = 4
-	})
+func TestAsyncClusterPageoutRoundTrip(t *testing.T) {
+	s, m := bootPipeline(t, 128, nil)
 	p := newProc(t, s, "sweep")
 	const pages = 512 // 4x RAM
 	va, err := p.Mmap(0, pages*param.PageSize, param.ProtRW, vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
@@ -87,10 +84,7 @@ func TestAsyncPageoutRoundTrip(t *testing.T) {
 func TestAsyncCompletionRacesShutdown(t *testing.T) {
 	for iter := 0; iter < 8; iter++ {
 		m := testMachine(96)
-		cfg := DefaultConfig()
-		cfg.AsyncPageout = true
-		cfg.PageoutWindow = 2
-		s := BootConfig(m, cfg)
+		s := BootConfig(m, DefaultConfig())
 		testutil.SweepOnCleanup(t, s)
 
 		const workers, pages = 3, 96
@@ -141,9 +135,7 @@ func TestReclaimWorkersRaceAllocators(t *testing.T) {
 		MaxVnodes: 16,
 	})
 	cfg := DefaultConfig()
-	cfg.AsyncPageout = true
 	cfg.ReclaimWorkers = 4
-	cfg.PageoutWindow = 2
 	s := BootConfig(m, cfg)
 	testutil.SweepOnCleanup(t, s)
 

@@ -78,8 +78,10 @@
 // back in. System.Shutdown stops the daemon gracefully, releasing any
 // blocked allocators, and drains in-flight pageout I/O.
 //
-// With cfg.AsyncPageout the cluster I/O itself is overlapped: the
-// daemon submits the write with swap.WriteClusterAsync and scans on;
+// The daemon's cluster I/O is overlapped with its next scan: it
+// submits each write with swap.WriteClusterAsync and scans on (direct
+// reclaim and cfg.InlineReclaim, whose caller needs a page now, write
+// synchronously);
 // ownership of the cluster's locked anons/objects travels with the
 // in-flight I/O and the *completion callback* — running on a swap I/O
 // goroutine — detaches and frees the pages, releases those locks, and
@@ -146,26 +148,12 @@ type Config struct {
 	// fault, schedule non-resident neighbour pages for pagein so nearby
 	// future faults find them resident.
 	AsyncPagein bool
-	// LowWater is the free-page threshold (in pages) at which the
-	// asynchronous pagedaemon is woken. 0 sizes it automatically from
-	// the machine: max(2×MaxCluster, total/64), capped at total/4.
-	LowWater int
 	// InlineReclaim disables the asynchronous pagedaemon: allocating
-	// goroutines reclaim inline, as both systems did before the daemon
-	// existed (ablation for the memory-pressure experiment). Implies
-	// synchronous pageout regardless of AsyncPageout.
+	// goroutines reclaim and page out synchronously, as both systems did
+	// before the daemon existed (the paper experiments, and the
+	// synchronous baseline of the memory-pressure and reclaim-bandwidth
+	// experiments).
 	InlineReclaim bool
-	// AsyncPageout overlaps pageout I/O with the next reclaim scan: the
-	// pagedaemon submits dirty clusters with swap.WriteClusterAsync and
-	// keeps scanning; the completion callback releases the cluster's
-	// pages and owners. Daemon rounds only — direct reclaim in an
-	// allocating goroutine stays synchronous, because that goroutine
-	// needs a page now.
-	AsyncPageout bool
-	// PageoutWindow bounds in-flight asynchronous cluster writes per
-	// swap device (backpressure on the daemon's scan). 0 means
-	// swap.DefaultAIOWindow.
-	PageoutWindow int
 	// ReclaimWorkers is the number of parallel reclaim workers the
 	// daemon dispatches per round. The workers claim consecutive
 	// MaxCluster-page runs of one LRU-ordered inactive-queue snapshot,
@@ -189,11 +177,6 @@ type Config struct {
 	// completions. Off, those paths put one page per I/O, synchronously,
 	// which keeps single-threaded runs byte-deterministic.
 	AsyncWriteback bool
-	// WritebackWindow bounds in-flight asynchronous object writeback
-	// clusters on the filesystem disk (the vnode backend's window; the
-	// aobj backend shares the swap device window, see PageoutWindow).
-	// 0 means disk.DefaultAIOWindow. Only meaningful with AsyncWriteback.
-	WritebackWindow int
 	// WritebackCluster caps pages per object writeback I/O. 0 means
 	// MaxCluster.
 	WritebackCluster int
@@ -295,9 +278,6 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 	s.ctrUbcReads = m.Stats.Counter("uvm.ubc.reads")
 	s.ctrUbcWrites = m.Stats.Counter("uvm.ubc.writes")
 	s.wbCond = sync.NewCond(&s.wbMu)
-	if cfg.AsyncWriteback && cfg.WritebackWindow > 0 {
-		m.FS.SetWriteWindow(cfg.WritebackWindow)
-	}
 	s.kmap = s.newMap("kernel", param.KernelBase, param.KernelMax, true)
 
 	// Kernel text, data, bss — always-wired segments. Because they are
@@ -313,9 +293,6 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 	}
 
 	if !cfg.InlineReclaim {
-		if cfg.PageoutWindow > 0 {
-			m.Swap.SetAIOWindow(cfg.PageoutWindow)
-		}
 		s.pd = newPagedaemon(s, s.lowWater())
 		m.Mem.SetLowWater(s.pd.low, s.pd.kick)
 		go s.pd.run()
@@ -323,11 +300,9 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 	return s
 }
 
-// lowWater sizes the pagedaemon's wake threshold for this machine.
+// lowWater sizes the pagedaemon's wake threshold for this machine:
+// max(2×MaxCluster, total/64), capped at total/4.
 func (s *System) lowWater() int {
-	if s.cfg.LowWater > 0 {
-		return s.cfg.LowWater
-	}
 	total := s.mach.Mem.TotalPages()
 	low := 2 * s.cfg.MaxCluster
 	if low < total/64 {

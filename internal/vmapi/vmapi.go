@@ -69,12 +69,6 @@ type MachineConfig struct {
 	FSPages   int64 // filesystem disk size, in blocks
 	MaxVnodes int   // kernel vnode table size (desiredvnodes)
 
-	// SwapAIOWindow bounds in-flight asynchronous cluster writes per
-	// swap device (a property of the disk queue, not of the VM system
-	// using it). 0 keeps swap.DefaultAIOWindow; uvm.Config.PageoutWindow
-	// can still override it at boot.
-	SwapAIOWindow int
-
 	// Profile names the machine's cost profile (sim.Profiles). Empty
 	// means sim.DefaultProfile — the paper's 1997 testbed — and is
 	// byte-identical to the pre-profile behaviour.
@@ -102,9 +96,6 @@ func (cfg MachineConfig) Validate() error {
 	}
 	if cfg.MaxVnodes < 1 {
 		return fmt.Errorf("vmapi: MachineConfig.MaxVnodes must be at least 1 (got %d)", cfg.MaxVnodes)
-	}
-	if cfg.SwapAIOWindow < 0 {
-		return fmt.Errorf("vmapi: MachineConfig.SwapAIOWindow must not be negative (got %d)", cfg.SwapAIOWindow)
 	}
 	if _, err := sim.CostsForProfile(cfg.Profile); err != nil {
 		return fmt.Errorf("vmapi: MachineConfig.Profile: %w", err)
@@ -186,9 +177,6 @@ func NewMachine(cfg MachineConfig) *Machine {
 		swDisk.SetFaultPlan(cfg.SwapFaultPlan)
 	}
 	sw := swap.New(clock, costs, stats, swDisk)
-	if cfg.SwapAIOWindow > 0 {
-		sw.SetAIOWindow(cfg.SwapAIOWindow)
-	}
 	return &Machine{
 		Clock:    clock,
 		Costs:    costs,

@@ -105,7 +105,6 @@ func TestTrafficDeterministicSim(t *testing.T) {
 func uvmDeterministicConfig() uvm.Config {
 	cfg := uvm.DefaultConfig()
 	cfg.InlineReclaim = true
-	cfg.AsyncPageout = false
 	cfg.AsyncWriteback = false
 	return cfg
 }
