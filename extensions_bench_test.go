@@ -140,8 +140,9 @@ func BenchmarkPVContention(b *testing.B) {
 			stats := sim.NewStats()
 			// RAM sized from the worker count RunParallel will spawn, so
 			// many-core hosts do not run the free list dry.
-			mem := phys.NewMem(clock, costs, stats, runtime.GOMAXPROCS(0)*workerPages+1024)
-			mmu := pmap.NewMMU(clock, costs, stats)
+			ramPages := runtime.GOMAXPROCS(0)*workerPages + 1024
+			mem := phys.NewMem(clock, costs, stats, ramPages)
+			mmu := pmap.NewMMU(clock, costs, stats, ramPages)
 			mmu.SetPVShards(cfg.shards)
 
 			var workerID atomic.Int32

@@ -166,7 +166,7 @@ func (w *lockWalker) stmt(s ast.Stmt) {
 		}
 		// Nothing after a return is reachable on this path; clearing the
 		// held set keeps locks handed out across a return (the fault
-		// path's release closures) from polluting the second loop-body
+		// path's owner-lock handoff) from polluting the second loop-body
 		// pass.
 		w.held = nil
 	case *ast.IfStmt:

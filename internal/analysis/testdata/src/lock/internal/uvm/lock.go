@@ -1,7 +1,7 @@
 // Package uvm is the lockorder fixture: a small declared hierarchy with
 // an in-order path, an inversion, a missing annotation, a TryLock
-// fallback that blocks on a peer, and a waived site the mutation test
-// un-waives.
+// fallback that blocks on a peer, an owner-lock handoff, and a waived
+// site the mutation test un-waives.
 package uvm
 
 import "sync"
@@ -56,4 +56,37 @@ func waived(m *vmMap, o *uobject) {
 	m.mu.Lock()
 	m.mu.Unlock()
 	o.mu.Unlock()
+}
+
+// ownerLock is the fault path's owner-lock handoff: a value naming the
+// locked owner rather than its mutex, so the handle has no mutex field
+// of its own and every Lock/Unlock stays on the owner's annotated field.
+type ownerLock struct {
+	o *uobject
+}
+
+func (l ownerLock) unlock() {
+	if l.o != nil {
+		l.o.mu.Unlock()
+	}
+}
+
+// resolve takes the object lock and hands it to its caller.
+func resolve(o *uobject) ownerLock {
+	o.mu.Lock()
+	return ownerLock{o: o}
+}
+
+// handoff releases the handed-over lock before taking the map lock.
+func handoff(m *vmMap, o *uobject) {
+	l := resolve(o)
+	l.unlock()
+	m.mu.Lock()
+	m.mu.Unlock()
+}
+
+// rawHandle is the handoff shape the analyzer rejects: a bare mutex
+// pointer carries no level.
+type rawHandle struct {
+	mu *sync.Mutex // want `mutex field rawHandle\.mu has no //uvm:lock level annotation`
 }

@@ -10,27 +10,35 @@
 // maps it, which is what makes pmap_page_protect — write-protecting or
 // removing all mappings of a page for copy-on-write and pageout — possible.
 //
-// # The sharded reverse map
+// # The frame-indexed reverse map
 //
-// The pv table is shared by every address space on the machine, so a
+// The pv table is the 4.4BSD i386 pmap's pv_table: one pvHead per
+// physical frame, indexed by frame number and sized from the machine's
+// RAM at boot. A head stores its frame's first mapping inline and the
+// rest in an overflow slice whose backing array is kept and reused, so
+// entering and removing mappings allocates nothing once a frame has seen
+// its widest sharing.
+//
+// The table is shared by every address space on the machine, so a
 // single mutex around it would serialise all faults system-wide — the
 // exact serialisation point the fine-grained VM locking was built to
-// avoid. It is therefore sharded: pvShards buckets, each its own mutex
-// plus page→pv-list map, a page hashing to the bucket of its physical
-// frame number. Page-level operations (Enter, Remove, PageProtect, pv
-// walks) lock only the one bucket their page hashes to, so faults in
+// avoid. Its locking is therefore sharded: pvShards bucket mutexes, the
+// heads of every frame whose number hashes to a bucket guarded by that
+// bucket's mutex. Page-level operations (Enter, Remove, PageProtect, pv
+// walks) lock only the one bucket their frame hashes to, so faults in
 // different address spaces — which overwhelmingly touch different frames
 // — proceed without contending.
 //
 // Locking: a pmap's own mutex (p.mu, guarding its page table) nests
 // ABOVE pv bucket locks — Enter/Remove update the page table and the
 // reverse map under p.mu so the two stay mutually inverse at every
-// instant. At most one bucket is ever held at a time (batch operations
-// visit their buckets one after another in ascending index), and bucket
-// locks are leaves: nothing is acquired under them. PageProtect snapshots
-// a page's pv list under its bucket and releases the bucket before
-// touching any pmap, so it never holds a bucket and a pmap mutex
-// together in the reverse order.
+// instant. At most one bucket is ever held at a time: batch operations
+// edit heads in the batch's own order and hold a bucket across each run
+// of consecutive edits that hash to it, releasing it before taking the
+// next. Bucket locks are leaves: nothing is acquired under them.
+// PageProtect snapshots a page's pv list under its bucket and releases
+// the bucket before touching any pmap, so it never holds a bucket and a
+// pmap mutex together in the reverse order.
 //
 // Bucket lock traffic is counted in the pmap.pv.* stats (acquisitions
 // and contended acquisitions); experiments.Scaling reports the ratio as
@@ -45,7 +53,7 @@ package pmap
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"uvm/internal/param"
@@ -85,34 +93,74 @@ type pv struct {
 	va param.VAddr
 }
 
-// pvBucket is one shard of the reverse map: the pv lists of every page
-// whose frame number hashes here, under the bucket's own mutex.
+// pvHead is one frame's pv list: the first mapping inline, the rest in
+// more. An empty head has first.pm == nil and len(more) == 0; more keeps
+// its backing array for reuse, with every slot past len cleared so a
+// torn-down pmap is not kept reachable. Guarded by the frame's bucket.
+type pvHead struct {
+	first pv
+	more  []pv
+}
+
+// len is the number of mappings of the frame.
+func (h *pvHead) len() int {
+	if h.first.pm == nil {
+		return 0
+	}
+	return 1 + len(h.more)
+}
+
+func (h *pvHead) add(pm *Pmap, va param.VAddr) {
+	if h.first.pm == nil {
+		h.first = pv{pm, va}
+		return
+	}
+	h.more = append(h.more, pv{pm, va})
+}
+
+// remove drops the (pm, va) entry, moving the last entry into its place
+// — the list order a swap-with-last removal from one slice gives, which
+// keeps PageProtect's walk order, and so the simulation, deterministic.
+func (h *pvHead) remove(pm *Pmap, va param.VAddr) {
+	n := len(h.more)
+	if h.first.pm == pm && h.first.va == va {
+		if n == 0 {
+			h.first = pv{}
+			return
+		}
+		h.first = h.more[n-1]
+	} else {
+		i := 0
+		for i < n && (h.more[i].pm != pm || h.more[i].va != va) {
+			i++
+		}
+		if i == n {
+			return
+		}
+		h.more[i] = h.more[n-1]
+	}
+	h.more[n-1] = pv{}
+	h.more = h.more[:n-1]
+}
+
+// appendTo appends the frame's mappings to dst in list order.
+func (h *pvHead) appendTo(dst []pv) []pv {
+	if h.first.pm == nil {
+		return dst
+	}
+	return append(append(dst, h.first), h.more...)
+}
+
+// pvBucket is one lock shard of the reverse map. It is padded to a
+// cache line so neighbouring buckets do not false-share.
 type pvBucket struct {
 	//uvm:lock pvbucket
-	mu  sync.Mutex
-	rev map[*phys.Page][]pv
+	mu sync.Mutex
+	_  [56]byte
 }
 
-// removeLocked drops the (pm, va) entry from pg's pv list. Caller holds
-// the bucket's mutex.
-func (b *pvBucket) removeLocked(pg *phys.Page, pm *Pmap, va param.VAddr) {
-	list := b.rev[pg]
-	for i, e := range list {
-		if e.pm == pm && e.va == va {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(b.rev, pg)
-	} else {
-		b.rev[pg] = list
-	}
-}
-
-// MMU is the machine: it owns the sharded reverse (pv) table shared by
-// all pmaps.
+// MMU is the machine: it owns the frame-indexed reverse (pv) table
+// shared by all pmaps.
 type MMU struct {
 	clock *sim.Clock
 	costs *sim.Costs
@@ -124,6 +172,9 @@ type MMU struct {
 	// the measured contrast for BenchmarkPVContention.
 	shards  int
 	buckets [pvShards]pvBucket
+	// heads is the pv table, one head per RAM frame; heads[f] is guarded
+	// by buckets[f & (shards-1)].
+	heads []pvHead
 
 	// Cached counter cells: the fault path bumps these on every bucket
 	// acquisition, so the name lookup is paid once here.
@@ -135,13 +186,14 @@ type MMU struct {
 	ctrRmBatchPages sim.Counter
 }
 
-// NewMMU creates the machine's MMU.
-func NewMMU(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats) *MMU {
-	m := &MMU{
+// NewMMU creates the MMU of a machine with ramPages physical frames.
+func NewMMU(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, ramPages int) *MMU {
+	return &MMU{
 		clock:           clock,
 		costs:           costs,
 		stats:           stats,
 		shards:          pvShards,
+		heads:           make([]pvHead, ramPages),
 		ctrAcquires:     stats.Counter(sim.CtrPVAcquires),
 		ctrContended:    stats.Counter(sim.CtrPVContended),
 		ctrBatches:      stats.Counter(sim.CtrPVBatches),
@@ -149,10 +201,6 @@ func NewMMU(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats) *MMU {
 		ctrRmBatches:    stats.Counter(sim.CtrPVBatchRemoves),
 		ctrRmBatchPages: stats.Counter(sim.CtrPVBatchRemovePages),
 	}
-	for i := range m.buckets {
-		m.buckets[i].rev = make(map[*phys.Page][]pv)
-	}
-	return m
 }
 
 // SetPVShards restricts the reverse map to n buckets (rounded down to a
@@ -161,10 +209,11 @@ func NewMMU(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats) *MMU {
 // layout (n=1); production boots keep the default. Must be called before
 // any translation is entered — it panics if mappings already exist.
 func (m *MMU) SetPVShards(n int) {
-	for i := range m.buckets {
-		m.buckets[i].mu.Lock()
-		populated := len(m.buckets[i].rev) > 0
-		m.buckets[i].mu.Unlock()
+	for f := range m.heads {
+		b := &m.buckets[m.frameBucket(f)]
+		b.mu.Lock()
+		populated := m.heads[f].len() > 0
+		b.mu.Unlock()
 		if populated {
 			panic("pmap: SetPVShards after mappings exist")
 		}
@@ -181,14 +230,17 @@ func (m *MMU) SetPVShards(n int) {
 	m.shards = n
 }
 
-// bucketIndex hashes a page to its reverse-map bucket: the physical frame
-// number masked by the live shard count, so adjacent frames land in
-// different buckets.
-func (m *MMU) bucketIndex(pg *phys.Page) int {
-	return int(uint64(pg.PA)>>param.PageShift) & (m.shards - 1)
-}
+// frame returns pg's frame number, its index in the pv table.
+func frame(pg *phys.Page) int { return int(uint64(pg.PA) >> param.PageShift) }
 
-func (m *MMU) bucketOf(pg *phys.Page) *pvBucket { return &m.buckets[m.bucketIndex(pg)] }
+// frameBucket hashes a frame to its reverse-map bucket: the frame number
+// masked by the live shard count, so adjacent frames land in different
+// buckets.
+func (m *MMU) frameBucket(f int) int { return f & (m.shards - 1) }
+
+func (m *MMU) bucketOf(pg *phys.Page) *pvBucket { return &m.buckets[m.frameBucket(frame(pg))] }
+
+func (m *MMU) headOf(pg *phys.Page) *pvHead { return &m.heads[frame(pg)] }
 
 // lockBucket acquires b counting the acquisition, and whether it had to
 // wait, in the pmap.pv.* stats.
@@ -198,6 +250,33 @@ func (m *MMU) lockBucket(b *pvBucket) {
 		b.mu.Lock()
 	}
 	m.ctrAcquires.Inc()
+}
+
+// pvRun applies a sequence of pv edits holding at most one bucket: the
+// bucket stays held across a run of consecutive edits that hash to it
+// and is swapped only when an edit hashes elsewhere. The zero value
+// holds nothing; done releases whatever is held.
+type pvRun struct {
+	m    *MMU
+	held *pvBucket
+}
+
+// head locks pg's bucket, if it is not the one already held, and
+// returns pg's head.
+func (r *pvRun) head(pg *phys.Page) *pvHead {
+	if b := r.m.bucketOf(pg); b != r.held {
+		r.done()
+		r.m.lockBucket(b)
+		r.held = b
+	}
+	return r.m.headOf(pg)
+}
+
+func (r *pvRun) done() {
+	if r.held != nil {
+		r.held.mu.Unlock()
+		r.held = nil
+	}
 }
 
 // Pmap is the translation state for one address space.
@@ -265,29 +344,32 @@ func (p *Pmap) Enter(va param.VAddr, pg *phys.Page, prot param.Prot, wired bool)
 	p.mmu.clock.Advance(p.mmu.costs.PmapEnter)
 
 	p.mu.Lock()
+	r := pvRun{m: p.mmu}
+	p.enterLocked(&r, va, pg, prot, wired)
+	r.done()
+	p.mu.Unlock()
+}
+
+// enterLocked applies one translation to the page table and the reverse
+// map. Caller holds p.mu; r carries the bucket held between edits.
+func (p *Pmap) enterLocked(r *pvRun, va param.VAddr, pg *phys.Page, prot param.Prot, wired bool) {
 	removeOld, add := p.applyPTLocked(va, pg, prot, wired)
 	if removeOld != nil {
-		b := p.mmu.bucketOf(removeOld)
-		p.mmu.lockBucket(b)
-		b.removeLocked(removeOld, p, va)
-		b.mu.Unlock()
+		r.head(removeOld).remove(p, va)
 	}
 	if add {
-		b := p.mmu.bucketOf(pg)
-		p.mmu.lockBucket(b)
-		b.rev[pg] = append(b.rev[pg], pv{p, va})
-		b.mu.Unlock()
+		r.head(pg).add(p, va)
 	}
-	p.mu.Unlock()
 }
 
 // EnterBatch establishes every translation in entries, exactly as the
 // equivalent sequence of Enter calls would, but takes the pmap mutex once
-// and each affected pv bucket once for the whole batch instead of once
-// per page. The batched fault-ahead path uses it to amortise lock traffic
-// across the advice window. VAs must be page-aligned; the per-entry
-// PmapEnter cost is charged as usual, so a batch costs the same simulated
-// time as the loop it replaces.
+// for the whole batch and holds each pv bucket across a run of
+// consecutive edits that hash to it, instead of locking both per page.
+// The batched fault-ahead path uses it to amortise lock traffic across
+// the advice window. VAs must be page-aligned; the per-entry PmapEnter
+// cost is charged as usual, so a batch costs the same simulated time as
+// the loop it replaces.
 func (p *Pmap) EnterBatch(entries []BatchEntry) {
 	if len(entries) == 0 {
 		return
@@ -301,46 +383,15 @@ func (p *Pmap) EnterBatch(entries []BatchEntry) {
 	p.mmu.ctrBatches.Inc()
 	p.mmu.ctrBatchPages.Add(int64(len(entries)))
 
-	// pvOp is one reverse-map edit; ops are grouped by bucket so each
-	// bucket is locked once, and applied in append order within a bucket
-	// so a remove-then-add pair for one VA lands in sequence.
-	type pvOp struct {
-		pg  *phys.Page
-		va  param.VAddr
-		add bool
-	}
-	var ops [pvShards][]pvOp
-
+	// The edits land in entry order under p.mu, so the batch is atomic
+	// against Remove/PageProtect on this pmap and a remove-then-add pair
+	// for one VA lands in sequence.
 	p.mu.Lock()
+	r := pvRun{m: p.mmu}
 	for _, be := range entries {
-		removeOld, add := p.applyPTLocked(be.VA, be.Page, be.Prot, be.Wired)
-		if removeOld != nil {
-			i := p.mmu.bucketIndex(removeOld)
-			ops[i] = append(ops[i], pvOp{pg: removeOld, va: be.VA})
-		}
-		if add {
-			i := p.mmu.bucketIndex(be.Page)
-			ops[i] = append(ops[i], pvOp{pg: be.Page, va: be.VA, add: true})
-		}
+		p.enterLocked(&r, be.VA, be.Page, be.Prot, be.Wired)
 	}
-	// Ascending bucket order, one bucket held at a time, still under
-	// p.mu so the batch is atomic against Remove/PageProtect on this
-	// pmap.
-	for i := range ops {
-		if len(ops[i]) == 0 {
-			continue
-		}
-		b := &p.mmu.buckets[i]
-		p.mmu.lockBucket(b)
-		for _, op := range ops[i] {
-			if op.add {
-				b.rev[op.pg] = append(b.rev[op.pg], pv{p, op.va})
-			} else {
-				b.removeLocked(op.pg, p, op.va)
-			}
-		}
-		b.mu.Unlock()
-	}
+	r.done()
 	p.mu.Unlock()
 }
 
@@ -353,76 +404,65 @@ func (p *Pmap) Remove(start, end param.VAddr) {
 
 // RemoveBatch tears down every translation in [start, end) exactly as the
 // equivalent sequence of Remove calls would, but takes the pmap mutex
-// once and each affected pv bucket once for the whole window instead of
-// once per page — the teardown mirror of EnterBatch, used by UVM's
-// two-phase unmap and address-space exit. The per-translation PmapRemove
-// cost is charged as usual, so a batch costs the same simulated time as
-// the loop it replaces.
+// once for the whole window and holds each pv bucket across a run of
+// consecutive edits that hash to it — the teardown mirror of
+// EnterBatch, used by UVM's two-phase unmap and address-space exit. The
+// per-translation PmapRemove cost is charged as usual, so a batch costs
+// the same simulated time as the loop it replaces.
 func (p *Pmap) RemoveBatch(start, end param.VAddr) {
 	start = param.Trunc(start)
 
 	p.mu.Lock()
-	// Collect the mapped VAs of the window: for a window smaller than
-	// the page table, walk the VA range directly (already sorted); for
-	// a huge or whole-space window (RemoveAll), scan the table instead
-	// of stepping through an astronomically sparse range, and sort so
-	// the pv edits land in the same order the Remove loop produced.
-	var vas []param.VAddr
+	r := pvRun{m: p.mmu}
+	n := 0
 	if span := uint64(end-start) >> param.PageShift; end > start && span < uint64(len(p.pt)) {
-		vas = make([]param.VAddr, 0, span)
+		// A window smaller than the page table: walk the VA range
+		// directly, in ascending order.
 		for va := start; va < end; va += param.PageSize {
-			if _, ok := p.pt[va]; ok {
-				vas = append(vas, va)
+			if pte, ok := p.pt[va]; ok {
+				p.removeLocked(&r, va, pte)
+				n++
 			}
 		}
 	} else {
-		vas = make([]param.VAddr, 0, len(p.pt))
+		// A huge or whole-space window (RemoveAll): scan the table
+		// instead of stepping through an astronomically sparse range,
+		// and sort so the pv edits land in the same ascending order the
+		// Remove loop produces.
+		var buf [64]param.VAddr
+		vas := buf[:0]
 		for va := range p.pt {
 			if va >= start && va < end {
 				vas = append(vas, va)
 			}
 		}
-		sort.Slice(vas, func(i, j int) bool { return vas[i] < vas[j] })
+		slices.Sort(vas)
+		for _, va := range vas {
+			p.removeLocked(&r, va, p.pt[va])
+		}
+		n = len(vas)
 	}
-	if len(vas) == 0 {
-		p.mu.Unlock()
+	r.done()
+	p.mu.Unlock()
+	if n == 0 {
 		return
 	}
 
-	type pvOp struct {
-		pg *phys.Page
-		va param.VAddr
-	}
-	var ops [pvShards][]pvOp
-	for _, va := range vas {
-		pte := p.pt[va]
-		delete(p.pt, va)
-		p.ptRegionRefLocked(va, -1)
-		if pte.Wired {
-			p.wired--
-		}
-		i := p.mmu.bucketIndex(pte.Page)
-		ops[i] = append(ops[i], pvOp{pg: pte.Page, va: va})
-	}
-	// Ascending bucket order, one bucket held at a time, still under
-	// p.mu so the batch is atomic against Enter/PageProtect on this pmap
-	// (same discipline as EnterBatch).
-	for i := range ops {
-		if len(ops[i]) == 0 {
-			continue
-		}
-		b := &p.mmu.buckets[i]
-		p.mmu.lockBucket(b)
-		for _, op := range ops[i] {
-			b.removeLocked(op.pg, p, op.va)
-		}
-		b.mu.Unlock()
-	}
-	p.mu.Unlock()
-
-	p.mmu.clock.ChargeN(len(vas), p.mmu.costs.PmapRemove)
+	p.mmu.clock.ChargeN(n, p.mmu.costs.PmapRemove)
 	p.mmu.ctrRmBatches.Inc()
-	p.mmu.ctrRmBatchPages.Add(int64(len(vas)))
+	p.mmu.ctrRmBatchPages.Add(int64(n))
+}
+
+// removeLocked tears down the translation pte of va: page table,
+// page-table region refcount, wired accounting and pv entry. Caller holds
+// p.mu; r carries the bucket held between edits.
+func (p *Pmap) removeLocked(r *pvRun, va param.VAddr, pte PTE) {
+	delete(p.pt, va)
+	p.ptRegionRefLocked(va, -1)
+	if pte.Wired {
+		p.wired--
+	}
+	r.head(pte.Page).remove(p, va)
 }
 
 func (p *Pmap) removeOne(va param.VAddr) { p.removeIf(va, nil) }
@@ -438,15 +478,9 @@ func (p *Pmap) removeIf(va param.VAddr, only *phys.Page) {
 		p.mu.Unlock()
 		return
 	}
-	delete(p.pt, va)
-	p.ptRegionRefLocked(va, -1)
-	if pte.Wired {
-		p.wired--
-	}
-	b := p.mmu.bucketOf(pte.Page)
-	p.mmu.lockBucket(b)
-	b.removeLocked(pte.Page, p, va)
-	b.mu.Unlock()
+	r := pvRun{m: p.mmu}
+	p.removeLocked(&r, va, pte)
+	r.done()
 	p.mu.Unlock()
 
 	p.mmu.clock.Advance(p.mmu.costs.PmapRemove)
@@ -488,6 +522,22 @@ func (p *Pmap) Lookup(va param.VAddr) (PTE, bool) {
 	defer p.mu.Unlock()
 	pte, ok := p.pt[param.Trunc(va)]
 	return pte, ok
+}
+
+// AppendUnmapped appends to dst every page-aligned VA of [start, end)
+// that has no translation, in ascending order, and returns the extended
+// slice. It takes the pmap mutex once for the whole range and, like
+// Lookup, charges no simulated cost: the fault-ahead window uses it to
+// pick its candidates.
+func (p *Pmap) AppendUnmapped(dst []param.VAddr, start, end param.VAddr) []param.VAddr {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for va := param.Trunc(start); va < end; va += param.PageSize {
+		if _, ok := p.pt[va]; !ok {
+			dst = append(dst, va)
+		}
+	}
+	return dst
 }
 
 // ChangeWiring flips the pmap-level wired attribute of va's translation.
@@ -564,9 +614,12 @@ func (p *Pmap) RemoveAll() {
 // pg's own pv bucket is locked (to snapshot the mapping list), so
 // PageProtect calls on pages in different buckets do not contend.
 func (m *MMU) PageProtect(pg *phys.Page, prot param.Prot) {
+	// The snapshot lives on the stack for up to four mappings, which
+	// covers every page short of a wide fork's shared frames.
+	var buf [4]pv
 	b := m.bucketOf(pg)
 	m.lockBucket(b)
-	entries := append([]pv(nil), b.rev[pg]...)
+	entries := m.headOf(pg).appendTo(buf[:0])
 	b.mu.Unlock()
 
 	if prot == param.ProtNone {
@@ -591,7 +644,7 @@ func (m *MMU) PageMappings(pg *phys.Page) int {
 	b := m.bucketOf(pg)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.rev[pg])
+	return m.headOf(pg).len()
 }
 
 // PageReferenced gathers and clears the simulated reference bit for pg.

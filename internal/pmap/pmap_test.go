@@ -18,7 +18,7 @@ func newFixture(npages int) *fixture {
 	costs := sim.DefaultCosts()
 	stats := sim.NewStats()
 	return &fixture{
-		mmu: NewMMU(clock, costs, stats),
+		mmu: NewMMU(clock, costs, stats, npages),
 		mem: phys.NewMem(clock, costs, stats, npages),
 	}
 }

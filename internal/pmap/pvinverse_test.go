@@ -2,7 +2,7 @@ package pmap
 
 // The pv-inverse property difftest: after any interleaving of Enter,
 // EnterBatch, Remove, RemoveBatch, RemoveAll, ChangeWiring and PageProtect across
-// several pmaps, the sharded reverse map and every pmap's page table
+// several pmaps, the frame-indexed reverse map and every pmap's page table
 // must be exact mutual inverses — every PTE has exactly one pv entry and
 // every pv entry points back at a live PTE for its page — and each
 // pmap's wired count must equal the number of wired PTEs it holds.
@@ -34,12 +34,12 @@ func checkInverse(t *testing.T, mmu *MMU, pmaps []*Pmap) {
 	t.Helper()
 
 	// Forward direction: every PTE, and the wired bookkeeping with it.
-	want := make(map[pvKey]*phys.Page)
+	want := make(map[pvKey]int)
 	for _, pm := range pmaps {
 		pm.mu.Lock()
 		wired := 0
 		for va, pte := range pm.pt {
-			want[pvKey{pm, va}] = pte.Page
+			want[pvKey{pm, va}] = frame(pte.Page)
 			if pte.Wired {
 				wired++
 			}
@@ -50,47 +50,58 @@ func checkInverse(t *testing.T, mmu *MMU, pmaps []*Pmap) {
 		pm.mu.Unlock()
 	}
 
-	// Reverse direction: every pv entry, checking bucket placement and
-	// duplicates along the way.
-	got := make(map[pvKey]*phys.Page)
-	for i := range mmu.buckets {
-		b := &mmu.buckets[i]
+	// Reverse direction: every head, checking duplicates and head shape
+	// along the way. An empty inline slot must mean an empty head, and
+	// no overflow slot past len may still point at a pmap — that would
+	// keep a torn-down address space reachable. Placement — each entry
+	// filed under the head of the frame its PTE maps — is checked when
+	// the two directions are compared below.
+	got := make(map[pvKey]int)
+	for f := range mmu.heads {
+		b := &mmu.buckets[mmu.frameBucket(f)]
 		b.mu.Lock()
-		for pg, list := range b.rev {
-			if mmu.bucketIndex(pg) != i {
-				t.Errorf("page PA=%#x filed in bucket %d, hashes to %d", pg.PA, i, mmu.bucketIndex(pg))
+		h := &mmu.heads[f]
+		if h.first.pm == nil && len(h.more) > 0 {
+			t.Errorf("frame %d: empty inline slot but %d overflow entries", f, len(h.more))
+		}
+		for i, e := range h.more[len(h.more):cap(h.more)] {
+			if e.pm != nil {
+				t.Errorf("frame %d: vacated overflow slot %d retains %v", f, len(h.more)+i, e.pm)
 			}
-			if len(list) == 0 {
-				t.Errorf("page PA=%#x retains an empty pv list", pg.PA)
+		}
+		for _, e := range h.appendTo(nil) {
+			k := pvKey{e.pm, e.va}
+			if _, dup := got[k]; dup {
+				t.Errorf("duplicate pv entry for %v va=%#x", e.pm, e.va)
 			}
-			for _, e := range list {
-				k := pvKey{e.pm, e.va}
-				if _, dup := got[k]; dup {
-					t.Errorf("duplicate pv entry for %v va=%#x", e.pm, e.va)
-				}
-				got[k] = pg
-			}
+			got[k] = f
 		}
 		b.mu.Unlock()
 	}
 
-	for k, pg := range want {
-		if got[k] != pg {
-			t.Errorf("PTE %v va=%#x -> PA=%#x has pv entry for %v", k.pm, k.va, pg.PA, pvPA(got[k]))
+	for k, f := range want {
+		if g, ok := got[k]; !ok {
+			t.Errorf("PTE %v va=%#x -> frame %d has no pv entry", k.pm, k.va, f)
+		} else if g != f {
+			t.Errorf("PTE %v va=%#x -> frame %d has its pv entry filed under frame %d", k.pm, k.va, f, g)
 		}
 	}
-	for k, pg := range got {
-		if want[k] != pg {
-			t.Errorf("pv entry %v va=%#x -> PA=%#x has no matching PTE", k.pm, k.va, pg.PA)
+	for k, f := range got {
+		if _, ok := want[k]; !ok {
+			t.Errorf("pv entry %v va=%#x under frame %d has no matching PTE", k.pm, k.va, f)
 		}
 	}
 }
 
-func pvPA(pg *phys.Page) any {
-	if pg == nil {
-		return "nothing"
+// checkTornDown removes every translation of pmaps and re-checks the
+// inverse: with no PTE left, every pv head must be empty and hold no
+// stale pmap pointer in its vacated overflow slots.
+func checkTornDown(t *testing.T, mmu *MMU, pmaps []*Pmap) {
+	t.Helper()
+	for _, pm := range pmaps {
+		pm.RemoveAll()
 	}
-	return fmt.Sprintf("PA=%#x", pg.PA)
+	checkInverse(t, mmu, pmaps)
 }
 
 // pvFuzzer drives one pmap with random operations against a shared page
@@ -200,6 +211,7 @@ func TestPVInverseDeterministic(t *testing.T) {
 				}
 			}
 			checkInverse(t, f.mmu, pvPmaps(fuzzers))
+			checkTornDown(t, f.mmu, pvPmaps(fuzzers))
 		})
 	}
 }
@@ -220,6 +232,7 @@ func TestPVInverseConcurrent(t *testing.T) {
 			}
 			wg.Wait()
 			checkInverse(t, f.mmu, pvPmaps(fuzzers))
+			checkTornDown(t, f.mmu, pvPmaps(fuzzers))
 		})
 	}
 }

@@ -45,8 +45,8 @@ func (a *anon) String() string {
 
 func (s *System) newAnon() *anon {
 	s.mach.Clock.Advance(s.mach.Costs.AnonAlloc)
-	s.mach.Stats.Inc("uvm.anon.alloc")
-	s.mach.Stats.Inc("uvm.anon.live")
+	s.ctrAnonAlloc.Inc()
+	s.ctrAnonLive.Inc()
 	return &anon{refs: 1, swslot: swap.NoSlot}
 }
 
@@ -84,7 +84,7 @@ func (s *System) anonUnref(a *anon) {
 		s.mach.Swap.Free(slot)
 	}
 	s.mach.Clock.Advance(s.mach.Costs.AnonFree)
-	s.mach.Stats.Add("uvm.anon.live", -1)
+	s.ctrAnonLive.Add(-1)
 }
 
 // dropAnonPage releases a dying anon's hold on pg. The keep-or-free
@@ -215,8 +215,8 @@ func (s *System) newAmap(nslots int) *amap {
 	if s.cfg.AmapImpl == AmapArray || nslots <= hybridThresholdSlots {
 		s.mach.Clock.ChargeN(nslots, s.mach.Costs.AmapPerSlot)
 	}
-	s.mach.Stats.Inc("uvm.amap.alloc")
-	s.mach.Stats.Inc("uvm.amap.live")
+	s.ctrAmapAlloc.Inc()
+	s.ctrAmapLive.Inc()
 	return &amap{impl: s.newAmapImpl(nslots), refs: 1}
 }
 
@@ -252,7 +252,7 @@ func (s *System) amapUnref(am *amap) {
 		return true
 	})
 	am.mu.Unlock()
-	s.mach.Stats.Add("uvm.amap.live", -1)
+	s.ctrAmapLive.Add(-1)
 }
 
 // amapCopy clears an entry's needs-copy flag (§5.2, Figure 3):

@@ -19,6 +19,18 @@ func TestCachedCounterHandlesFeedStats(t *testing.T) {
 		name string
 		ctr  sim.Counter
 	}{
+		{sim.CtrFaults, s.ctrFaults},
+		{sim.CtrFaultsRead, s.ctrFaultsRead},
+		{sim.CtrFaultsWrite, s.ctrFaultsWrite},
+		{"uvm.anon.alloc", s.ctrAnonAlloc},
+		{"uvm.anon.live", s.ctrAnonLive},
+		{"uvm.amap.alloc", s.ctrAmapAlloc},
+		{"uvm.amap.live", s.ctrAmapLive},
+		{"uvm.cow.copies", s.ctrCowCopies},
+		{"uvm.lookahead.mapped", s.ctrLookaheadMapped},
+		{"uvm.mapentry.alloc", s.ctrEntryAlloc},
+		{"uvm.mapentry.live", s.ctrEntryLive},
+		{"uvm.map.lockheld_ns", s.ctrMapLockHeld},
 		{sim.CtrPageIns, s.ctrPageIns},
 		{sim.CtrPageOuts, s.ctrPageOuts},
 		{"uvm.asyncpagein.pages", s.ctrAsyncPageinPgs},

@@ -1,10 +1,11 @@
 package uvm
 
 import (
+	"slices"
+
 	"uvm/internal/param"
 	"uvm/internal/phys"
 	"uvm/internal/pmap"
-	"uvm/internal/sim"
 	"uvm/internal/swap"
 	"uvm/internal/vmapi"
 )
@@ -31,12 +32,12 @@ import (
 // can never free a page out from under a fault in progress.
 func (s *System) fault(p *Process, va param.VAddr, access param.Prot) error {
 	s.mach.Clock.Advance(s.mach.Costs.FaultTrap)
-	s.mach.Stats.Inc(sim.CtrFaults)
+	s.ctrFaults.Inc()
 	write := access.Allows(param.ProtWrite)
 	if write {
-		s.mach.Stats.Inc(sim.CtrFaultsWrite)
+		s.ctrFaultsWrite.Inc()
 	} else {
-		s.mach.Stats.Inc(sim.CtrFaultsRead)
+		s.ctrFaultsRead.Inc()
 	}
 
 	m := p.m
@@ -77,7 +78,7 @@ func (s *System) fault(p *Process, va param.VAddr, access param.Prot) error {
 		}
 	}
 
-	pg, prot, release, err := s.faultResolve(p, e, va, write)
+	pg, prot, owner, err := s.faultResolve(p, e, va, write)
 	if err != nil {
 		unlockMap()
 		return err
@@ -95,7 +96,7 @@ func (s *System) fault(p *Process, va param.VAddr, access param.Prot) error {
 	if pg.WireCount.Load() == 0 && !pg.Loaned() {
 		s.mach.Mem.Activate(pg)
 	}
-	release()
+	owner.unlock()
 
 	if !s.cfg.DisableLookahead {
 		s.lookahead(p, e, va)
@@ -157,11 +158,33 @@ func (s *System) asyncPagein(e *entry, faultVA param.VAddr) {
 	}
 }
 
+// ownerLock is a held page-owner lock handed from the code that took it
+// to the code that releases it: the fault resolvers return one so the
+// resolved page's owner stays locked across the pmap entry, and
+// lockPageOwner returns one to its callers. It names the owner rather
+// than its mutex, so every acquisition and release stays on the
+// owner's annotated lock field; the zero value holds nothing. It is a
+// value, so the handoff allocates nothing.
+type ownerLock struct {
+	a *anon
+	o *uobject
+}
+
+// unlock releases the held owner lock, if any.
+func (l ownerLock) unlock() {
+	if l.a != nil {
+		l.a.mu.Unlock()
+	}
+	if l.o != nil {
+		l.o.mu.Unlock()
+	}
+}
+
 // faultResolve finds (or creates) the page for va and decides the
-// hardware protection to map it with. On success the returned release
-// func holds the page owner's lock until the caller has entered the
-// mapping; the caller must invoke it exactly once.
-func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) (*phys.Page, param.Prot, func(), error) {
+// hardware protection to map it with. On success the returned ownerLock
+// holds the page owner's lock until the caller has entered the mapping;
+// the caller must unlock it exactly once.
+func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) (*phys.Page, param.Prot, ownerLock, error) {
 	for {
 		// ---- Layer 1: the amap (anonymous) layer. ----
 		if am := e.amap; am != nil {
@@ -188,7 +211,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 				var err error
 				np, err = s.allocPage(nil, 0, false) // owner set once na is locked
 				if err != nil {
-					return nil, 0, nil, err
+					return nil, 0, ownerLock{}, err
 				}
 				na.page = np
 			}
@@ -219,7 +242,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 					if na != nil {
 						s.anonUnref(na)
 					}
-					return nil, 0, nil, err
+					return nil, 0, ownerLock{}, err
 				}
 				ok = true
 			}
@@ -243,7 +266,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 				am.mu.Unlock()
 				o.mu.Unlock()
 				np.SetOwner(na, 0)
-				return np, e.prot, func() { na.mu.Unlock() }, nil
+				return np, e.prot, ownerLock{a: na}, nil
 			}
 			if write {
 				if pg.Loaned() {
@@ -253,7 +276,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 					np2, retry, err := s.breakObjLoan(o, idx, pg)
 					if err != nil {
 						o.mu.Unlock()
-						return nil, 0, nil, err
+						return nil, 0, ownerLock{}, err
 					}
 					if retry {
 						o.mu.Unlock()
@@ -262,13 +285,13 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 					pg = np2
 				}
 				pg.Dirty.Store(true)
-				return pg, e.prot, func() { o.mu.Unlock() }, nil
+				return pg, e.prot, ownerLock{o: o}, nil
 			}
 			prot := e.prot
 			if e.cow {
 				prot &^= param.ProtWrite // future writes must fault
 			}
-			return pg, prot, func() { o.mu.Unlock() }, nil
+			return pg, prot, ownerLock{o: o}, nil
 		}
 
 		// ---- Layer 3: pure zero-fill (the amap was materialised before
@@ -281,7 +304,7 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 		na := s.newAnon()
 		np, err := s.allocPage(nil, 0, true)
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, ownerLock{}, err
 		}
 		np.Dirty.Store(true) // anonymous content lives only in RAM until paged
 		na.page = np
@@ -298,14 +321,14 @@ func (s *System) faultResolve(p *Process, e *entry, va param.VAddr, write bool) 
 		na.mu.Lock()
 		am.mu.Unlock()
 		np.SetOwner(na, 0)
-		return np, e.prot, func() { na.mu.Unlock() }, nil
+		return np, e.prot, ownerLock{a: na}, nil
 	}
 }
 
 // faultAnon resolves a fault that hit an anon in the amap layer. Called
-// with am.mu held; on success the returned release func unlocks the
-// resolved page's anon.
-func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*phys.Page, param.Prot, func(), error) {
+// with am.mu held; on success the returned ownerLock holds the resolved
+// page's anon.
+func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*phys.Page, param.Prot, ownerLock, error) {
 	a.mu.Lock()
 	if a.page == nil {
 		var err error
@@ -319,7 +342,7 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 		if err != nil {
 			a.mu.Unlock()
 			am.mu.Unlock()
-			return nil, 0, nil, err
+			return nil, 0, ownerLock{}, err
 		}
 	}
 	pg := a.page
@@ -329,7 +352,7 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 			prot &^= param.ProtWrite
 		}
 		am.mu.Unlock()
-		return pg, prot, func() { a.mu.Unlock() }, nil
+		return pg, prot, ownerLock{a: a}, nil
 	}
 	if a.refs == 1 && !pg.Loaned() {
 		// Sole owner: write in place. (BSD VM in the same situation
@@ -342,7 +365,7 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 			a.swslot = swap.NoSlot
 		}
 		am.mu.Unlock()
-		return pg, e.prot, func() { a.mu.Unlock() }, nil
+		return pg, e.prot, ownerLock{a: a}, nil
 	}
 	// Copy-on-write: copy the data to a newly allocated anon and drop the
 	// reference to the original (§5.2). Also the loan-break path: writing
@@ -352,7 +375,7 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 	if err != nil {
 		a.mu.Unlock()
 		am.mu.Unlock()
-		return nil, 0, nil, err
+		return nil, 0, ownerLock{}, err
 	}
 	s.mach.Mem.CopyData(np, pg)
 	np.Dirty.Store(true)
@@ -363,9 +386,13 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 	na.mu.Lock() // hold the fresh anon across the pmap entry
 	am.mu.Unlock()
 	np.SetOwner(na, 0)
-	s.mach.Stats.Inc("uvm.cow.copies")
-	return np, e.prot, func() { na.mu.Unlock() }, nil
+	s.ctrCowCopies.Inc()
+	return np, e.prot, ownerLock{a: na}, nil
 }
+
+// lookaheadMax bounds the candidates of any advice window: param.Advice
+// looks at most 8 pages ahead and 3 behind.
+const lookaheadMax = 8 + 3
 
 // lookahead maps in resident neighbour pages around a fault (§5.4). Only
 // pages already resident are touched — "this mechanism only works for
@@ -374,11 +401,11 @@ func (s *System) faultAnon(e *entry, am *amap, a *anon, slot int, write bool) (*
 // The window is resolved as a batch: one amap lock acquisition and at
 // most one object lock acquisition cover every candidate (instead of
 // re-acquiring per neighbour), and the translations enter the pmap
-// through one Pmap.EnterBatch, which takes the pmap mutex and each pv
-// bucket once for the whole window. Every collected page's owner (anon
-// or object) stays locked from collection through the batch entry, so
-// reclaim — which TryLocks owners — can never free a collected page
-// before it is mapped.
+// through one Pmap.EnterBatch, which takes the pmap mutex once for the
+// whole window. Every collected page's owner (anon or object) stays
+// locked from collection through the batch entry, so reclaim — which
+// TryLocks owners — can never free a collected page before it is
+// mapped.
 //
 // Lookahead is opportunistic — a neighbour it cannot have cheaply is a
 // neighbour skipped — so owners are acquired with TryLock only: a busy
@@ -418,23 +445,19 @@ func (s *System) lookahead(p *Process, e *entry, faultVA param.VAddr) {
 	}
 
 	// Candidate VAs: the window minus the faulting page and anything the
-	// pmap already maps.
-	var vas []param.VAddr
-	for va := lo; va < hi; va += param.PageSize {
-		if va == base {
-			continue
-		}
-		if _, ok := p.pm.Lookup(va); ok {
-			continue
-		}
-		vas = append(vas, va)
-	}
+	// pmap already maps. The arrays below hold the widest window,
+	// so they stay on the stack and the window allocates nothing.
+	var vaBuf [lookaheadMax]param.VAddr
+	vas := p.pm.AppendUnmapped(vaBuf[:0], lo, hi)
+	vas = slices.DeleteFunc(vas, func(va param.VAddr) bool { return va == base })
 	if len(vas) == 0 {
 		return
 	}
 
-	batch := make([]pmap.BatchEntry, 0, len(vas))
-	var lockedAnons []*anon
+	var batchBuf [lookaheadMax]pmap.BatchEntry
+	var anonBuf [lookaheadMax]*anon
+	batch := batchBuf[:0]
+	lockedAnons := anonBuf[:0]
 	o := e.obj
 	objHeld := false
 	if am := e.amap; am != nil {
@@ -503,7 +526,7 @@ func (s *System) lookahead(p *Process, e *entry, faultVA param.VAddr) {
 				s.mach.Mem.Activate(be.Page)
 			}
 		}
-		s.mach.Stats.Add("uvm.lookahead.mapped", int64(len(batch)))
+		s.ctrLookaheadMapped.Add(int64(len(batch)))
 	}
 	for _, a := range lockedAnons {
 		a.mu.Unlock()

@@ -53,12 +53,12 @@ func (p *Process) Loanout(addr param.VAddr, npages int) ([]*phys.Page, error) {
 				continue
 			}
 			pg := pte.Page
-			release, ok := s.lockPageOwner(pg)
+			owner, ok := s.lockPageOwner(pg)
 			if !ok {
 				continue
 			}
 			if pte2, still := p.pm.Lookup(va); !still || pte2.Page != pg {
-				release() // evicted or replaced between lookup and lock
+				owner.unlock() // evicted or replaced between lookup and lock
 				continue
 			}
 			pg.LoanCount.Add(1)
@@ -68,7 +68,7 @@ func (p *Process) Loanout(addr param.VAddr, npages int) ([]*phys.Page, error) {
 			// The borrower (kernel I/O path) maps the page into its own
 			// address space.
 			s.mach.Clock.Advance(s.mach.Costs.PmapEnter)
-			release()
+			owner.unlock()
 			pages = append(pages, pg)
 			loaned = true
 		}

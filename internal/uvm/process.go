@@ -523,7 +523,7 @@ func (p *Process) copyBytes(addr param.VAddr, buf []byte, write bool) error {
 		copied := false
 		if pte, ok := p.pm.Lookup(va); ok && pte.Page != nil {
 			pg := pte.Page
-			if release, ok := p.sys.lockPageOwner(pg); ok {
+			if owner, ok := p.sys.lockPageOwner(pg); ok {
 				if pte2, still := p.pm.Lookup(va); still && pte2.Page == pg && pte2.Prot.Allows(need) {
 					if write {
 						copy(pg.Data[pageOff:pageOff+n], buf[done:done+n])
@@ -532,7 +532,7 @@ func (p *Process) copyBytes(addr param.VAddr, buf []byte, write bool) error {
 					}
 					copied = true
 				}
-				release()
+				owner.unlock()
 			}
 		}
 		if !copied {
@@ -549,22 +549,22 @@ func (p *Process) copyBytes(addr param.VAddr, buf []byte, write bool) error {
 
 // lockPageOwner locks whatever structure owns pg — an anon, a uobject,
 // or (for ownerless loaned frames) the page identity itself — and
-// returns a release func. It reports failure if ownership keeps changing
+// returns the held lock. It reports failure if ownership keeps changing
 // underneath the acquisition (caller should refault and retry).
-func (s *System) lockPageOwner(pg *phys.Page) (func(), bool) {
+func (s *System) lockPageOwner(pg *phys.Page) (ownerLock, bool) {
 	for attempt := 0; attempt < 8; attempt++ {
 		owner := pg.Owner()
 		switch o := owner.(type) {
 		case *anon:
 			o.mu.Lock()
 			if pg.Owner() == owner {
-				return func() { o.mu.Unlock() }, true
+				return ownerLock{a: o}, true
 			}
 			o.mu.Unlock()
 		case *uobject:
 			o.mu.Lock()
 			if pg.Owner() == owner {
-				return func() { o.mu.Unlock() }, true
+				return ownerLock{o: o}, true
 			}
 			o.mu.Unlock()
 		case nil:
@@ -573,11 +573,11 @@ func (s *System) lockPageOwner(pg *phys.Page) (func(), bool) {
 			verified := false
 			pg.WithIdentity(func(cur any) { verified = cur == nil })
 			if verified {
-				return func() {}, true
+				return ownerLock{}, true
 			}
 		default:
-			return nil, false
+			return ownerLock{}, false
 		}
 	}
-	return nil, false
+	return ownerLock{}, false
 }

@@ -42,9 +42,9 @@
 // child is not yet visible to any other goroutine).
 //
 // Within the pmap leaf there is one further level: a pmap's own mutex
-// nests above the MMU's sharded reverse-map (pv) bucket locks, at most
-// one bucket is held at a time (batch operations visit buckets in
-// ascending index, one after another), and bucket locks are strict
+// nests above the MMU's reverse-map (pv) bucket locks, at most one
+// bucket is held at a time (batch operations hold a bucket across each
+// run of consecutive edits that hash to it), and bucket locks are strict
 // leaves — nothing is acquired under them (see the locking note in
 // internal/pmap). The batched fault-ahead path (lookahead) resolves its
 // whole advice window under one amap lock acquisition — candidate anons
@@ -202,19 +202,31 @@ type System struct {
 	kmap      *vmMap
 	kentryUse atomic.Int32
 
-	// Cached counter handles for per-page loop paths, resolved once at
-	// boot so the hot loops skip the string-keyed Stats lookup (the
-	// counterhandle analyzer enforces this idiom).
-	ctrPageIns        sim.Counter
-	ctrPageOuts       sim.Counter
-	ctrAsyncPageinPgs sim.Counter
-	ctrObjWbClusters  sim.Counter
-	ctrObjWbPages     sim.Counter
-	ctrPdRounds       sim.Counter
-	ctrPdDirect       sim.Counter
-	ctrPdWorkerRounds sim.Counter
-	ctrUbcReads       sim.Counter
-	ctrUbcWrites      sim.Counter
+	// Cached counter handles for the fault path and per-page loop paths,
+	// resolved once at boot so the hot paths skip the string-keyed Stats
+	// lookup (the counterhandle analyzer enforces this idiom in loops).
+	ctrFaults          sim.Counter
+	ctrFaultsRead      sim.Counter
+	ctrFaultsWrite     sim.Counter
+	ctrAnonAlloc       sim.Counter
+	ctrAnonLive        sim.Counter
+	ctrAmapAlloc       sim.Counter
+	ctrAmapLive        sim.Counter
+	ctrCowCopies       sim.Counter
+	ctrLookaheadMapped sim.Counter
+	ctrEntryAlloc      sim.Counter
+	ctrEntryLive       sim.Counter
+	ctrMapLockHeld     sim.Counter
+	ctrPageIns         sim.Counter
+	ctrPageOuts        sim.Counter
+	ctrAsyncPageinPgs  sim.Counter
+	ctrObjWbClusters   sim.Counter
+	ctrObjWbPages      sim.Counter
+	ctrPdRounds        sim.Counter
+	ctrPdDirect        sim.Counter
+	ctrPdWorkerRounds  sim.Counter
+	ctrUbcReads        sim.Counter
+	ctrUbcWrites       sim.Counter
 
 	// vnObjMu serialises vnode<->uvm_object identity: the create-or-ref
 	// decision in vnodeObject must be atomic across concurrent mappers
@@ -267,6 +279,18 @@ func BootConfig(m *vmapi.Machine, cfg Config) *System {
 		cfg:   cfg,
 		procs: make(map[*Process]struct{}),
 	}
+	s.ctrFaults = m.Stats.Counter(sim.CtrFaults)
+	s.ctrFaultsRead = m.Stats.Counter(sim.CtrFaultsRead)
+	s.ctrFaultsWrite = m.Stats.Counter(sim.CtrFaultsWrite)
+	s.ctrAnonAlloc = m.Stats.Counter("uvm.anon.alloc")
+	s.ctrAnonLive = m.Stats.Counter("uvm.anon.live")
+	s.ctrAmapAlloc = m.Stats.Counter("uvm.amap.alloc")
+	s.ctrAmapLive = m.Stats.Counter("uvm.amap.live")
+	s.ctrCowCopies = m.Stats.Counter("uvm.cow.copies")
+	s.ctrLookaheadMapped = m.Stats.Counter("uvm.lookahead.mapped")
+	s.ctrEntryAlloc = m.Stats.Counter("uvm.mapentry.alloc")
+	s.ctrEntryLive = m.Stats.Counter("uvm.mapentry.live")
+	s.ctrMapLockHeld = m.Stats.Counter("uvm.map.lockheld_ns")
 	s.ctrPageIns = m.Stats.Counter(sim.CtrPageIns)
 	s.ctrPageOuts = m.Stats.Counter(sim.CtrPageOuts)
 	s.ctrAsyncPageinPgs = m.Stats.Counter("uvm.asyncpagein.pages")

@@ -36,17 +36,17 @@ func (p *Process) wirePagesNoMap(start, end param.VAddr) error {
 				continue
 			}
 			pg := pte.Page
-			release, ok := s.lockPageOwner(pg)
+			owner, ok := s.lockPageOwner(pg)
 			if !ok {
 				continue
 			}
 			if pte2, still := p.pm.Lookup(va); !still || pte2.Page != pg {
-				release()
+				owner.unlock()
 				continue
 			}
 			pg.WireCount.Add(1)
 			s.mach.Mem.Dequeue(pg)
-			release()
+			owner.unlock()
 			p.pm.ChangeWiring(va, true)
 			wired = true
 		}
@@ -63,11 +63,11 @@ func (p *Process) unwirePagesNoMap(start, end param.VAddr) {
 	for va := start; va < end; va += param.PageSize {
 		if pte, ok := p.pm.Lookup(va); ok && pte.Page != nil {
 			pg := pte.Page
-			if release, ok := s.lockPageOwner(pg); ok {
+			if owner, ok := s.lockPageOwner(pg); ok {
 				if pg.WireCount.Load() > 0 && pg.WireCount.Add(-1) == 0 {
 					s.mach.Mem.Activate(pg)
 				}
-				release()
+				owner.unlock()
 			}
 		}
 		p.pm.ChangeWiring(va, false)

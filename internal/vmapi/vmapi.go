@@ -182,7 +182,7 @@ func NewMachine(cfg MachineConfig) *Machine {
 		Costs:    costs,
 		Stats:    stats,
 		Mem:      phys.NewMem(clock, costs, stats, cfg.RAMPages),
-		MMU:      pmap.NewMMU(clock, costs, stats),
+		MMU:      pmap.NewMMU(clock, costs, stats, cfg.RAMPages),
 		Swap:     sw,
 		FS:       vfs.NewFS(clock, costs, stats, fsDisk, cfg.MaxVnodes),
 		FSDisk:   fsDisk,
