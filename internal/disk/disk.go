@@ -10,7 +10,13 @@
 // all.
 //
 // Blocks are page-sized. Data is stored for real, so swap round-trips and
-// file reads are verified byte-for-byte by the test suite.
+// file reads are verified byte-for-byte by the test suite. A block holds
+// host memory only from its first write until it is discarded: Discard
+// (TRIM) drops a run of blocks' data, so they read as zeros again, and
+// keeps their buffers on a per-disk spare stack that later writes draw on
+// before they allocate. Swap discards a slot's block when the slot is
+// freed, so a swap device stores data only for its live slots. Discard
+// charges no simulated time and counts no command.
 package disk
 
 import (
@@ -40,6 +46,7 @@ type Disk struct {
 	mu      sync.Mutex
 	nblocks int64
 	blocks  map[int64][]byte // lazily allocated; absent block reads as zeros
+	spare   [][]byte         // discarded block buffers, reused by writeBlocks
 	head    int64            // block the head sits after (sequential detection)
 	nextfit int64            // bump pointer for Alloc
 
@@ -59,6 +66,13 @@ type Disk struct {
 	// exactly like a plan-injected error.
 	FailRead  func(block int64) error
 	FailWrite func(block int64) error
+
+	// Cached stat handles for the per-command counters.
+	ctrReads, ctrWrites           sim.Counter
+	ctrPagesRead, ctrPagesWritten sim.Counter
+	ctrReadsDeferred              sim.Counter
+	ctrWritesDeferred             sim.Counter
+	ctrSeeks, ctrDeferredNs       sim.Counter
 }
 
 // New creates a disk with nblocks page-sized blocks.
@@ -67,12 +81,20 @@ func New(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, nblocks int64) *D
 		panic("disk: non-positive size")
 	}
 	return &Disk{
-		clock:   clock,
-		costs:   costs,
-		stats:   stats,
-		nblocks: nblocks,
-		blocks:  make(map[int64][]byte),
-		head:    -1,
+		clock:             clock,
+		costs:             costs,
+		stats:             stats,
+		nblocks:           nblocks,
+		blocks:            make(map[int64][]byte),
+		head:              -1,
+		ctrReads:          stats.Counter(sim.CtrDiskReads),
+		ctrWrites:         stats.Counter(sim.CtrDiskWrites),
+		ctrPagesRead:      stats.Counter(sim.CtrDiskPagesRead),
+		ctrPagesWritten:   stats.Counter(sim.CtrDiskPagesWrite),
+		ctrReadsDeferred:  stats.Counter(sim.CtrDiskReadsDeferred),
+		ctrWritesDeferred: stats.Counter(sim.CtrDiskWritesDeferred),
+		ctrSeeks:          stats.Counter(sim.CtrDiskSeeks),
+		ctrDeferredNs:     stats.Counter(sim.CtrDiskDeferredNs),
 	}
 }
 
@@ -220,15 +242,15 @@ func (d *Disk) command(start int64, bufs [][]byte, write, deferred bool) error {
 	}
 	switch {
 	case deferred && write:
-		d.stats.Inc(sim.CtrDiskWritesDeferred)
+		d.ctrWritesDeferred.Inc()
 	case deferred:
-		d.stats.Inc("disk.reads.deferred")
+		d.ctrReadsDeferred.Inc()
 	case write:
-		d.stats.Inc(sim.CtrDiskWrites)
-		d.stats.Add(sim.CtrDiskPagesWrite, int64(k))
+		d.ctrWrites.Inc()
+		d.ctrPagesWritten.Add(int64(k))
 	default:
-		d.stats.Inc(sim.CtrDiskReads)
-		d.stats.Add(sim.CtrDiskPagesRead, int64(k))
+		d.ctrReads.Inc()
+		d.ctrPagesRead.Add(int64(k))
 	}
 	if deferred {
 		d.chargeDeferred(start, k)
@@ -268,11 +290,37 @@ func (d *Disk) writeBlocks(start int64, data [][]byte) {
 		blk := start + int64(i)
 		dst, ok := d.blocks[blk]
 		if !ok {
-			dst = make([]byte, param.PageSize)
+			if n := len(d.spare); n > 0 {
+				dst = d.spare[n-1]
+				d.spare[n-1] = nil
+				d.spare = d.spare[:n-1]
+			} else {
+				dst = make([]byte, param.PageSize)
+			}
 			d.blocks[blk] = dst
 		}
 		copy(dst, src)
 	}
+}
+
+// Discard drops the stored data of the n blocks at start, so they read
+// as zeros until written again (TRIM). It is bookkeeping for the host's
+// memory, not a device command: it charges no time, counts nothing, does
+// not move the head, and is not subject to faults. The dropped buffers go
+// onto the spare stack for later writes.
+func (d *Disk) Discard(start, n int64) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.checkRange(start, n); err != nil {
+		return err
+	}
+	for blk := start; blk < start+n; blk++ {
+		if buf, ok := d.blocks[blk]; ok {
+			delete(d.blocks, blk)
+			d.spare = append(d.spare, buf)
+		}
+	}
+	return nil
 }
 
 // checkRange rejects I/O outside [0, nblocks). The bound is checked
@@ -295,7 +343,7 @@ func (d *Disk) charge(start int64, n int) {
 	d.clock.Advance(d.costs.DiskOp)
 	if d.head != start {
 		d.clock.Advance(d.costs.DiskSeek)
-		d.stats.Inc(sim.CtrDiskSeeks)
+		d.ctrSeeks.Inc()
 	}
 	d.clock.ChargeN(n, d.costs.DiskPageIO)
 	d.head = start + int64(n)
@@ -310,5 +358,5 @@ func (d *Disk) charge(start int64, n int) {
 // cost sequence.
 func (d *Disk) chargeDeferred(start int64, n int) {
 	busy := d.costs.DiskOp + d.costs.DiskSeek + time.Duration(n)*d.costs.DiskPageIO
-	d.stats.Add(sim.CtrDiskDeferredNs, int64(busy))
+	d.ctrDeferredNs.Add(int64(busy))
 }

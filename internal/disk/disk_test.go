@@ -1,7 +1,9 @@
 package disk
 
 import (
+	"bytes"
 	"errors"
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -270,5 +272,49 @@ func TestDeferredFailureInjection(t *testing.T) {
 	d.FailRead = func(int64) error { return boom }
 	if err := d.ReadPagesDeferred(0, [][]byte{page(0)}); !errors.Is(err, boom) {
 		t.Fatalf("deferred read error not surfaced: %v", err)
+	}
+}
+
+func TestDiscardDropsBlocksAndReusesBuffers(t *testing.T) {
+	d, clock, stats := newTestDisk(16)
+	if err := d.WritePages(3, [][]byte{page(0xab), page(0xac)}); err != nil {
+		t.Fatal(err)
+	}
+	dropped := map[*byte]bool{&d.blocks[3][0]: true, &d.blocks[4][0]: true}
+	now, head, before := clock.Now(), d.head, stats.Snapshot()
+	if err := d.Discard(2, 4); err != nil { // 2 and 5 were never written
+		t.Fatal(err)
+	}
+	if clock.Now() != now || d.head != head {
+		t.Fatalf("discard charged %v or moved the head %d -> %d", clock.Now()-now, head, d.head)
+	}
+	if after := stats.Snapshot(); !maps.Equal(after, before) {
+		t.Fatalf("discard moved the stats: %v -> %v", before, after)
+	}
+	if len(d.blocks) != 0 || len(d.spare) != 2 {
+		t.Fatalf("after discard: %d blocks stored, %d spare, want 0 and 2", len(d.blocks), len(d.spare))
+	}
+	got := page(0xff)
+	if err := d.ReadPages(3, [][]byte{got}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, page(0)) {
+		t.Fatal("discarded block does not read as zeros")
+	}
+	// The next writes take the spare buffers before allocating.
+	if err := d.WritePages(9, [][]byte{page(0xcd), page(0xce), page(0xcf)}); err != nil {
+		t.Fatal(err)
+	}
+	if !dropped[&d.blocks[9][0]] || !dropped[&d.blocks[10][0]] || len(d.spare) != 0 {
+		t.Fatal("writes after a discard did not reuse the dropped buffers")
+	}
+	if err := d.ReadPages(10, [][]byte{got}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, page(0xce)) {
+		t.Fatal("reused buffer does not hold the new data")
+	}
+	if err := d.Discard(15, 2); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("discard past the end: %v", err)
 	}
 }

@@ -7,6 +7,17 @@
 // all verified against actual bytes by the test suites of the higher
 // layers.
 //
+// Frame data is carved on first allocation, not at boot: NewMem makes
+// only the Page headers, and the first Alloc of a never-used frame gives
+// its whole chunk (chunkFrames frames of one home shard) one host
+// allocation, kept from then on. Reuse is hot-first: Free pushes a frame
+// onto the head of its shard's free list, so Alloc hands back the most
+// recently freed frame, while never-used frames wait at the tail in frame
+// order. Chunks are therefore carved in order and only as deep as the
+// machine's peak use, so the host footprint follows the pages a run
+// touches rather than its RAM size. None of this is simulated: the
+// allocation and zeroing costs are charged exactly as before.
+//
 // Concurrency: the queues are sharded — each frame has a home shard
 // (by frame number) holding its free/active/inactive list membership
 // under a per-shard mutex, so page allocation and LRU queue traffic from
@@ -39,8 +50,10 @@
 package phys
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -68,10 +81,18 @@ const (
 // enough that merge scans stay cheap.
 const numShards = 16
 
+// chunkFrames is how many frames one carve gives data to: the frames of
+// one home shard at consecutive shard-local positions. Keeping a chunk
+// inside one shard means carving only ever writes frames guarded by the
+// shard lock the allocator already holds.
+const chunkFrames = 16
+
 // Page is one physical page frame (a vm_page structure).
 type Page struct {
-	PA   param.PAddr
-	Data []byte // always param.PageSize bytes
+	PA param.PAddr
+	// Data is param.PageSize bytes from the frame's first allocation on;
+	// nil before it (see carveLocked).
+	Data []byte
 
 	// Identity: which higher-level entity owns this frame. Exactly one of
 	// these is meaningful for an allocated page; both are zero for a free
@@ -171,6 +192,17 @@ func (l *pageList) pushTail(p *Page) {
 	l.n++
 }
 
+func (l *pageList) pushHead(p *Page) {
+	p.prev, p.next = nil, l.head
+	if l.head != nil {
+		l.head.prev = p
+	} else {
+		l.tail = p
+	}
+	l.head = p
+	l.n++
+}
+
 func (l *pageList) remove(p *Page) {
 	if p.prev != nil {
 		p.prev.next = p.next
@@ -222,14 +254,17 @@ type Mem struct {
 	lowWater atomic.Int64 // free-page threshold that fires lowWake
 	lowWake  atomic.Value // func(): pagedaemon doorbell, must not block
 
-	// Cached stat handles for the allocation path (phys.alloc.*): hot
-	// enough that the name lookup per bump would show up.
+	// Cached stat handles for the allocation path (phys.alloc.*) and
+	// the per-page zero and copy counters: hot enough that the name
+	// lookup per bump would show up.
 	ctrAllocAcquires  sim.Counter
 	ctrAllocContended sim.Counter
+	ctrPagesZeroed    sim.Counter
+	ctrPagesCopied    sim.Counter
 }
 
-// NewMem boots a machine with npages page frames. All frame data buffers
-// are carved from one arena allocation.
+// NewMem boots a machine with npages page frames. Only the Page headers
+// are allocated here; frame data is carved on first allocation.
 func NewMem(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, npages int) *Mem {
 	if npages <= 0 {
 		panic("phys: non-positive memory size")
@@ -237,12 +272,12 @@ func NewMem(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, npages int) *M
 	m := &Mem{clock: clock, costs: costs, stats: stats, total: npages}
 	m.ctrAllocAcquires = stats.Counter(sim.CtrAllocAcquires)
 	m.ctrAllocContended = stats.Counter(sim.CtrAllocContended)
-	arena := make([]byte, npages*param.PageSize)
+	m.ctrPagesZeroed = stats.Counter(sim.CtrPagesZeroed)
+	m.ctrPagesCopied = stats.Counter(sim.CtrPagesCopied)
 	m.frames = make([]Page, npages)
 	for i := range m.frames {
 		p := &m.frames[i]
 		p.PA = param.PAddr(i) << param.PageShift
-		p.Data = arena[i*param.PageSize : (i+1)*param.PageSize : (i+1)*param.PageSize]
 		p.home = uint8(i % numShards)
 		p.queue = QueueFree
 		m.shards[p.home].free.pushTail(p)
@@ -326,6 +361,9 @@ func (m *Mem) Alloc(owner any, off param.PageOff, zero bool) (*Page, error) {
 		p = sh.free.popHead()
 		if p != nil {
 			p.queue = QueueNone
+			if p.Data == nil {
+				m.carveLocked(p)
+			}
 			sh.mu.Unlock()
 			break
 		}
@@ -350,6 +388,24 @@ func (m *Mem) lockShardAlloc(sh *memShard) {
 	m.ctrAllocAcquires.Inc()
 }
 
+// carveLocked gives data to the never-used frame p and to the rest of
+// its chunk: the chunkFrames frames of p's home shard that share p's
+// chunk get one host allocation between them. A chunk is carved whole,
+// so a frame without data means its whole chunk has none. Caller holds
+// p's home shard lock, which guards every frame of the chunk until its
+// own first allocation.
+func (m *Mem) carveLocked(p *Page) {
+	home := int(p.home)
+	first := int(p.PA>>param.PageShift) / numShards / chunkFrames * chunkFrames
+	inShard := (m.total - home + numShards - 1) / numShards
+	n := min(chunkFrames, inShard-first)
+	buf := make([]byte, n*param.PageSize)
+	for j := 0; j < n; j++ {
+		f := &m.frames[(first+j)*numShards+home]
+		f.Data = buf[j*param.PageSize : (j+1)*param.PageSize : (j+1)*param.PageSize]
+	}
+}
+
 // finishAlloc applies the post-allocation protocol to a frame just
 // taken off a free list: maintain the lock-free free counter and fire
 // the low-water doorbell, charge the cost, stamp the owner, and reset
@@ -372,8 +428,10 @@ func (m *Mem) finishAlloc(p *Page, owner any, off param.PageOff, zero bool) {
 	}
 }
 
-// Free returns a frame to its home shard's free list. The caller must
-// have removed all mappings; queue membership is cleared here.
+// Free returns a frame to the head of its home shard's free list, so the
+// next Alloc from that shard reuses it while its data is still in cache.
+// The caller must have removed all mappings; queue membership is cleared
+// here.
 func (m *Mem) Free(p *Page) {
 	if p.WireCount.Load() > 0 {
 		panic("phys: freeing wired page " + p.String())
@@ -388,7 +446,7 @@ func (m *Mem) Free(p *Page) {
 	sh.mu.Lock()
 	sh.detachLocked(p)
 	p.queue = QueueFree
-	sh.free.pushTail(p)
+	sh.free.pushHead(p)
 	sh.mu.Unlock()
 	m.freeCnt.Add(1)
 }
@@ -396,16 +454,14 @@ func (m *Mem) Free(p *Page) {
 // Zero clears a frame's data, charging the zeroing cost.
 func (m *Mem) Zero(p *Page) {
 	m.clock.Advance(m.costs.PageZero)
-	m.stats.Inc(sim.CtrPagesZeroed)
-	for i := range p.Data {
-		p.Data[i] = 0
-	}
+	m.ctrPagesZeroed.Inc()
+	clear(p.Data)
 }
 
 // CopyData copies src's data into dst, charging the 4 KB copy cost.
 func (m *Mem) CopyData(dst, src *Page) {
 	m.clock.Advance(m.costs.PageCopy)
-	m.stats.Inc(sim.CtrPagesCopied)
+	m.ctrPagesCopied.Inc()
 	copy(dst.Data, src.Data)
 }
 
@@ -504,17 +560,11 @@ func (m *Mem) ScanInactive(max int, fn func(*Page) bool) {
 		}
 		sh.mu.Unlock()
 	}
-	// Merge to global LRU order (insertion sort: candidate sets are
-	// small and mostly sorted per shard); keep the first max.
-	for i := 1; i < len(cand); i++ {
-		c := cand[i]
-		j := i - 1
-		for j >= 0 && cand[j].seq > c.seq {
-			cand[j+1] = cand[j]
-			j--
-		}
-		cand[j+1] = c
-	}
+	// Merge to global LRU order and keep the first max. Stamps are
+	// unique, so any sort gives the one order a single queue would. (The
+	// shards' runs are concatenated, not interleaved, so an insertion
+	// sort here is quadratic in the candidate count.)
+	slices.SortFunc(cand, func(a, b candidate) int { return cmp.Compare(a.seq, b.seq) })
 	if len(cand) > max {
 		cand = cand[:max]
 	}

@@ -133,6 +133,28 @@ func TestStatsBasics(t *testing.T) {
 	}
 }
 
+// TestCounterHandleSurvivesReset checks that Reset zeroes cells in place:
+// a handle taken before it keeps feeding Get and Snapshot after it.
+func TestCounterHandleSurvivesReset(t *testing.T) {
+	s := NewStats()
+	c := s.Counter("hot")
+	c.Add(5)
+	s.Reset()
+	if got := s.Get("hot"); got != 0 {
+		t.Fatalf("Get after Reset = %d, want 0", got)
+	}
+	c.Inc()
+	if got := s.Get("hot"); got != 1 {
+		t.Fatalf("handle bump after Reset: Get = %d, want 1", got)
+	}
+	if got := s.Snapshot()["hot"]; got != 1 {
+		t.Fatalf("handle bump after Reset: Snapshot = %d, want 1", got)
+	}
+	if s.Counter("hot") != c {
+		t.Fatal("a handle taken after Reset points at a different cell")
+	}
+}
+
 func TestStatsString(t *testing.T) {
 	s := NewStats()
 	s.Add("zzz", 1)

@@ -75,9 +75,8 @@ func (s *Stats) Max(name string, v int64) {
 
 // Counter is a cached handle to one counter cell, for hot paths that bump
 // the same counter on every operation and cannot afford the name lookup.
-// A handle taken before Stats.Reset keeps writing to the old (discarded)
-// generation of the cell; like Reset itself, handles are meant to be
-// taken once at subsystem construction, not interleaved with resets.
+// Handles are taken once at subsystem construction; Stats.Reset zeroes
+// cells in place, so a handle keeps feeding Get and Snapshot across it.
 type Counter struct{ v *int64 }
 
 // Counter returns a cached handle for name, creating the cell on first
@@ -100,12 +99,14 @@ func (s *Stats) Snapshot() map[string]int64 {
 	return out
 }
 
-// Reset clears every counter. Counter cells handed out concurrently with
-// a Reset may apply their update to the old generation; Reset is meant
-// for test/experiment setup, not for use while workloads are running.
+// Reset sets every counter to zero. The cells are zeroed in place, not
+// deleted, so cached Counter handles stay attached to the names they were
+// taken for; reset counters appear in Snapshot as zeros. An update racing
+// with Reset may land before or after the zeroing; Reset is meant for
+// test/experiment setup, not for use while workloads are running.
 func (s *Stats) Reset() {
-	s.m.Range(func(k, _ any) bool {
-		s.m.Delete(k)
+	s.m.Range(func(_, v any) bool {
+		atomic.StoreInt64(v.(*int64), 0)
 		return true
 	})
 }
@@ -149,7 +150,9 @@ const (
 	CtrDiskSeeks       = "disk.seeks"
 	CtrDiskPagesRead   = "disk.pages.read"
 	CtrDiskPagesWrite  = "disk.pages.written"
-	CtrDiskDeferredNs  = "disk.deferred_ns" // device-busy time of deferred (overlapped) I/O
+	// CtrDiskReadsDeferred counts deferred (read-ahead) read commands.
+	CtrDiskReadsDeferred = "disk.reads.deferred"
+	CtrDiskDeferredNs    = "disk.deferred_ns" // device-busy time of deferred (overlapped) I/O
 	// CtrDiskWritesDeferred counts deferred (overlapped) write commands;
 	// CtrDiskDeferredNs / CtrDiskWritesDeferred is the per-completion
 	// device-busy latency of the async write windows.

@@ -62,7 +62,7 @@ func (s *Swap) WriteClusterAsync(start int64, bufs [][]byte, done func(error)) e
 	s.aio.inFlight++
 	inFlight := s.aio.inFlight
 	s.aio.mu.Unlock()
-	s.stats.Inc(sim.CtrSwapIOs)
+	s.ctrIOs.Inc()
 	s.stats.Inc(sim.CtrSwapAIOWrites)
 	s.stats.Add(sim.CtrSwapAIOPages, int64(len(bufs)))
 	s.stats.Max(sim.CtrSwapAIOInFlightMax, int64(inFlight))

@@ -227,9 +227,10 @@ type Swap struct {
 	mu   sync.Mutex
 	devs atomic.Pointer[topo]
 
-	// ctrSlotsLive is the cached handle for the per-allocation live-slot
-	// gauge, resolved once at construction.
+	// Cached handles for the live-slot gauge and the I/O command count,
+	// resolved once at construction.
 	ctrSlotsLive sim.Counter
+	ctrIOs       sim.Counter
 
 	nSlots atomic.Int64
 	nInUse atomic.Int64 // lock-free in-use count across all shards
@@ -241,6 +242,7 @@ type Swap struct {
 func New(clock *sim.Clock, costs *sim.Costs, stats *sim.Stats, dev *disk.Disk) *Swap {
 	s := &Swap{clock: clock, costs: costs, stats: stats}
 	s.ctrSlotsLive = stats.Counter(sim.CtrSwapSlotsLive)
+	s.ctrIOs = stats.Counter(sim.CtrSwapIOs)
 	s.devs.Store(&topo{})
 	s.aio.init()
 	s.AddDevice(dev, 0)
@@ -353,7 +355,9 @@ func (s *Swap) Free(slot int64) { s.FreeRange(slot, 1) }
 // FreeRange releases n consecutive slots starting at slot. The range is
 // freed one shard-resident run at a time, each under a single lock
 // acquisition — a pageout cluster, which never spans a shard, frees
-// atomically.
+// atomically. Each run's blocks are discarded on its disk first, while
+// the slots are still ours, so a freed slot holds no host memory and
+// reads as zeros; a new owner of the slot writes before it reads.
 func (s *Swap) FreeRange(slot int64, n int) {
 	if slot == NoSlot {
 		return
@@ -368,17 +372,20 @@ func (s *Swap) FreeRange(slot int64, n int) {
 		if run > left {
 			run = left
 		}
+		if err := d.dev.Discard(slot-d.base, run); err != nil {
+			panic(fmt.Sprintf("swap: discarding slots [%d,%d): %v", slot, slot+run, err))
+		}
 		sh.freeRange(slot-sh.base, run)
 		slot += run
 		left -= run
 	}
 	s.nInUse.Add(-int64(n))
-	s.stats.Add(sim.CtrSwapSlotsLive, -int64(n))
+	s.ctrSlotsLive.Add(-int64(n))
 }
 
 // ReadSlot pages a single slot into buf.
 func (s *Swap) ReadSlot(slot int64, buf []byte) error {
-	s.stats.Inc(sim.CtrSwapIOs)
+	s.ctrIOs.Inc()
 	d := s.deviceFor(slot)
 	return d.dev.ReadPages(slot-d.base, [][]byte{buf})
 }
@@ -388,7 +395,7 @@ func (s *Swap) ReadSlot(slot int64, buf []byte) error {
 // clustered pagein. The run must lie within one device; callers clamp
 // their window with DeviceBounds first.
 func (s *Swap) ReadCluster(start int64, bufs [][]byte) error {
-	s.stats.Inc(sim.CtrSwapIOs)
+	s.ctrIOs.Inc()
 	d := s.deviceFor(start)
 	if start-d.base+int64(len(bufs)) > d.size {
 		return fmt.Errorf("swap: read cluster at %d spans devices", start)
@@ -406,7 +413,7 @@ func (s *Swap) DeviceBounds(slot int64) (lo, hi int64) {
 
 // WriteSlot pages buf out to a single slot.
 func (s *Swap) WriteSlot(slot int64, buf []byte) error {
-	s.stats.Inc(sim.CtrSwapIOs)
+	s.ctrIOs.Inc()
 	d := s.deviceFor(slot)
 	return d.dev.WritePages(slot-d.base, [][]byte{buf})
 }
@@ -415,7 +422,7 @@ func (s *Swap) WriteSlot(slot int64, buf []byte) error {
 // operation. The cluster always lies within one device (AllocContig
 // guarantees it).
 func (s *Swap) WriteCluster(start int64, bufs [][]byte) error {
-	s.stats.Inc(sim.CtrSwapIOs)
+	s.ctrIOs.Inc()
 	d := s.deviceFor(start)
 	if start-d.base+int64(len(bufs)) > d.size {
 		return fmt.Errorf("swap: cluster at %d spans devices", start)

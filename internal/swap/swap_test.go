@@ -236,3 +236,42 @@ func TestBadClusterSize(t *testing.T) {
 		t.Fatal("negative cluster accepted")
 	}
 }
+
+// TestFreedSlotIsDiscarded checks that freeing a slot drops its block on
+// the device: the slot reads back as zeros, and a write/free cycle over
+// fresh slots reuses the dropped buffers instead of allocating a block
+// per write (next-fit hands out a different slot every cycle).
+func TestFreedSlotIsDiscarded(t *testing.T) {
+	s, _ := newTestSwap(64)
+	out := make([]byte, param.PageSize)
+	for i := range out {
+		out[i] = 0x5a
+	}
+	slot, _ := s.Alloc()
+	if err := s.WriteSlot(slot, out); err != nil {
+		t.Fatal(err)
+	}
+	s.Free(slot)
+	in := make([]byte, param.PageSize)
+	if err := s.ReadSlot(slot, in); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range in {
+		if b != 0 {
+			t.Fatalf("freed slot byte %d = %#x, want zero", i, b)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		slot, err := s.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteSlot(slot, out); err != nil {
+			t.Fatal(err)
+		}
+		s.Free(slot)
+	})
+	if allocs != 0 {
+		t.Errorf("slot write/free cycle: %.1f allocs, want 0 (the freed block's buffer is reused)", allocs)
+	}
+}

@@ -12,7 +12,9 @@ import (
 // else — owner-lock handoff, lookahead candidates, pv bookkeeping — lives on
 // the stack or in reused storage. testing.AllocsPerRun reports the
 // average over its runs, so a per-call allocation anywhere on these paths
-// shows up as a whole extra object.
+// shows up as a whole extra object. Frame data is carved once per chunk
+// of frames, not once per fault (internal/phys), so a fault that takes a
+// never-used frame adds only a fraction of an allocation to the average.
 
 const allocRuns = 64
 

@@ -1,12 +1,10 @@
 package uvm
 
 import (
-	"errors"
 	"sync/atomic"
 	"testing"
 
 	"uvm/internal/param"
-	"uvm/internal/phys"
 	"uvm/internal/vmapi"
 )
 
@@ -22,9 +20,10 @@ import (
 // blind stress loop never lands in it (and on a single-CPU host never
 // can). The test instead constructs the interleaving deterministically:
 //
-//  1. the free list is drained to zero with the pagedaemon held in its
-//     test gate, so get's allocation must block in waitForFree — with
-//     o.mu dropped;
+//  1. with the pagedaemon parked in its test gate and no cluster write
+//     in flight, the free list is spent to zero on zero-fill faults, so
+//     nothing can free a frame and get's allocation must block in
+//     waitForFree — with o.mu dropped;
 //  2. a reassigner goroutine, parked on o.mu, then gets the lock, moves
 //     the backing copy to a fresh slot, frees the old one with
 //     FreeRange, and only then opens the daemon's gate;
@@ -46,22 +45,27 @@ func TestAObjPageinRacesFreeRange(t *testing.T) {
 		return ch
 	}
 	gate.Store(openGate())
-	s.pd.gate = func() { <-gate.Load().(chan struct{}) }
+	// parked receives once each time the daemon reaches a closed gate,
+	// where it stays until the gate opens; while it is parked no reclaim
+	// round is running.
+	parked := make(chan struct{}, 1)
+	s.pd.gate = func() {
+		ch := gate.Load().(chan struct{})
+		select {
+		case <-ch:
+			return
+		default:
+		}
+		parked <- struct{}{}
+		<-ch
+	}
 
 	o := s.newAObj(1)
 
-	// Victim region: 2x RAM of evictable anon pages for the daemon to
-	// reclaim while the test's pagein waits for a frame.
+	// The victim's anon pages take up every free frame before each
+	// pagein; they are what the daemon reclaims while get waits.
 	victim := newProc(t, s, "victim")
-	const victimPages = 192
-	vva, err := victim.Mmap(0, victimPages*param.PageSize, param.ProtRW,
-		vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	type grabOwner struct{}
-	var grabbed []*phys.Page
 	fill := func(slot int64) []byte {
 		buf := make([]byte, param.PageSize)
 		for i := range buf {
@@ -80,22 +84,23 @@ func TestAObjPageinRacesFreeRange(t *testing.T) {
 	o.aobjSlots[0] = slot
 
 	for iter := 0; iter < 4; iter++ {
-		// Stock the queues with evictable pages (gate open), then close
-		// the gate and drain the free list to zero: the next allocation
-		// must block on the parked daemon.
-		if err := victim.TouchRange(vva, victimPages*param.PageSize, true); err != nil {
-			t.Fatal(err)
-		}
+		// Park the daemon and let the cluster writes already on the wire
+		// complete, so nothing frees a frame from here on. Then spend the
+		// free list on zero-fill faults in a fresh region: the next
+		// allocation must block on the parked daemon, and the region's
+		// pages are evictable.
 		gate.Store(make(chan struct{}))
-		for {
-			pg, err := m.Mem.Alloc(&grabOwner{}, 0, false)
-			if errors.Is(err, phys.ErrNoMemory) {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			grabbed = append(grabbed, pg)
+		s.pd.kick()
+		<-parked
+		m.Swap.DrainAsync()
+		vva, err := victim.Mmap(0, param.VSize(m.Mem.TotalPages())*param.PageSize, param.ProtRW,
+			vmapi.MapAnon|vmapi.MapPrivate, nil, 0)
+		for i := 0; err == nil && m.Mem.FreePages() > 0; i++ {
+			err = victim.Access(vva+param.VAddr(i)*param.PageSize, true)
+		}
+		if err != nil {
+			close(gate.Load().(chan struct{}))
+			t.Fatalf("iter %d: filling memory: %v", iter, err)
 		}
 
 		o.mu.Lock()
@@ -139,15 +144,11 @@ func TestAObjPageinRacesFreeRange(t *testing.T) {
 			t.Fatalf("iter %d: stale pagein: object points at slot %d (pattern %#x) but page holds %#x",
 				iter, cur, byte(cur), pg.Data[0])
 		}
-		// Evict and release the drained frames for the next iteration.
+		// Evict the page for the next iteration.
 		delete(o.pages, 0)
 		pg.Dirty.Store(false)
 		s.mach.Mem.Dequeue(pg)
 		s.mach.Mem.Free(pg)
 		o.mu.Unlock()
-		for _, g := range grabbed {
-			m.Mem.Free(g)
-		}
-		grabbed = grabbed[:0]
 	}
 }

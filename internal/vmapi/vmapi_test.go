@@ -3,6 +3,7 @@ package vmapi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -177,5 +178,23 @@ func TestFaultPlansInstalledAtBoot(t *testing.T) {
 	}
 	if err := m.FSDisk.ReadPages(0, [][]byte{buf}); !errors.Is(err, disk.ErrInjected) {
 		t.Fatalf("fs plan not installed: %v", err)
+	}
+}
+
+// TestNewMachineFootprintFollowsUse fences the lazy physical arena: boot
+// allocates page headers and bookkeeping, not frame data, so a default
+// machine costs the host well under its simulated RAM size.
+func TestNewMachineFootprintFollowsUse(t *testing.T) {
+	cfg := DefaultConfig()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := NewMachine(cfg)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	ram := uint64(cfg.RAMPages) * param.PageSize
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NewMachine allocated %d KB for %d KB of RAM", got>>10, ram>>10)
+	if got > ram/8 {
+		t.Fatalf("NewMachine allocated %d KB, want at most %d KB (an eighth of its %d KB of RAM)", got>>10, ram>>13, ram>>10)
 	}
 }
